@@ -14,7 +14,7 @@
 //! | `garbage`       | seeded garbage line ahead of each request    |
 //! | `reset`         | connection reset 20 bytes into the request   |
 //! | `truncate`      | reply cut off after 20 bytes                 |
-//! | `slow_loris`    | 10 bytes then silence past the idle deadline |
+//! | `slow_loris`    | 10 bytes then silence past the line deadline |
 //! | `deadline_shed` | over-budget queries vs a cost-unit deadline  |
 //! | `panic`         | a poisoned design point panicking the eval   |
 //!
@@ -33,8 +33,8 @@ use crate::table::{f, Table};
 use drone_components::battery::CellCount;
 use drone_explorer::{Explorer, GridRange, Objective, Query, QueryRanges};
 use drone_serve::{
-    CallError, ChaosProxy, Client, ClientConfig, ErrorKind, Fault, FaultSchedule, Server,
-    ServerConfig,
+    CallError, ChaosProxy, Client, ClientConfig, ErrorKind, Fault, FaultSchedule, ReactorConfig,
+    ReactorServer,
 };
 use drone_telemetry::{Histogram, Json, Registry};
 use std::io::{BufRead, BufReader, Write};
@@ -50,8 +50,10 @@ const RESET_AT: usize = 20;
 const TRUNCATE_AT: usize = 20;
 const SPLIT_EVERY: usize = 7;
 const GARBAGE_LEN: usize = 24;
-/// Server idle deadline 100 ms vs a 400 ms proxy stall: 4x margin.
-const IDLE_TIMEOUT_MS: u64 = 100;
+/// Server line deadline 100 ms vs a 400 ms proxy stall: 4x margin.
+/// The stall starts mid-line, so the connection owes a newline and the
+/// progress deadline is armed.
+const LINE_DEADLINE_MS: u64 = 100;
 const STALL_MS: u64 = 400;
 /// Cost-unit deadline for the shed class: passes 15-point queries,
 /// sheds 125-point ones.
@@ -136,7 +138,7 @@ impl ClassResult {
     }
 
     /// Expected thread count: the proxy joins its acceptor plus one
-    /// relay per accepted connection; the server joins 2 workers + 1
+    /// relay per accepted connection; the server joins 2 reactors + 1
     /// acceptor. Any deviation is a leak.
     fn threads_leaked(&self) -> i64 {
         let expected_proxy = 1 + self.proxy_connections as i64;
@@ -220,11 +222,11 @@ impl ClassResult {
 /// hooked for panics), and proxy under the given schedule.
 struct Stack {
     registry: Registry,
-    server: Server,
+    server: ReactorServer,
     proxy: ChaosProxy,
 }
 
-fn stack(schedule: FaultSchedule, server_config: ServerConfig, poison: bool) -> Stack {
+fn stack(schedule: FaultSchedule, server_config: ReactorConfig, poison: bool) -> Stack {
     let registry = Registry::with_wall_clock();
     let mut engine = Explorer::with_default_threads();
     engine.attach_telemetry(&registry);
@@ -238,7 +240,7 @@ fn stack(schedule: FaultSchedule, server_config: ServerConfig, poison: bool) -> 
     } else {
         engine
     };
-    let server = Server::start(engine, server_config, &registry).expect("bind chaos server");
+    let server = ReactorServer::start(engine, server_config, &registry).expect("bind chaos server");
     let proxy = ChaosProxy::start(server.addr(), schedule, SEED).expect("bind chaos proxy");
     Stack {
         registry,
@@ -265,7 +267,7 @@ fn client_config() -> ClientConfig {
 fn run_class(
     name: &'static str,
     schedule: FaultSchedule,
-    server_config: ServerConfig,
+    server_config: ReactorConfig,
     client_config: ClientConfig,
     poison: bool,
     queries: &[Query],
@@ -318,7 +320,7 @@ fn run_class(
 fn run_coalesce_class() -> ClassResult {
     let stack = stack(
         FaultSchedule::Always(Fault::Coalesce),
-        ServerConfig::default(),
+        ReactorConfig::default(),
         false,
     );
     let mut payload = String::new();
@@ -397,7 +399,7 @@ pub(crate) fn silence_poison_panics() {
 /// Runs the full fault campaign and reports per-class survival.
 pub fn chaos() -> Report {
     silence_poison_panics();
-    let defaults = ServerConfig::default();
+    let defaults = ReactorConfig::default();
     let classes: Vec<ClassResult> = vec![
         run_class(
             "clean",
@@ -446,8 +448,8 @@ pub fn chaos() -> Report {
                 bytes: 10,
                 millis: STALL_MS,
             }),
-            ServerConfig {
-                idle_timeout: Some(Duration::from_millis(IDLE_TIMEOUT_MS)),
+            ReactorConfig {
+                line_deadline: Some(Duration::from_millis(LINE_DEADLINE_MS)),
                 ..defaults
             },
             client_config(),
@@ -457,7 +459,7 @@ pub fn chaos() -> Report {
         run_class(
             "deadline_shed",
             FaultSchedule::Always(Fault::None),
-            ServerConfig {
+            ReactorConfig {
                 cost_deadline: Some(COST_DEADLINE),
                 ..defaults
             },

@@ -29,7 +29,7 @@ use drone_explorer::cache::CacheKey;
 use drone_explorer::{
     Constraints, Explorer, GridRange, Objective, OptimizeRequest, Query, QueryRanges, Strategy,
 };
-use drone_serve::{Client, ClientConfig, Server, ServerConfig};
+use drone_serve::{Client, ClientConfig, ReactorConfig, ReactorServer};
 use drone_telemetry::{Json, Registry};
 use std::collections::HashSet;
 use std::time::Duration;
@@ -159,8 +159,8 @@ fn compare_strategies(registry: &Registry) -> (usize, usize, f64, Vec<StrategyRo
 fn wire_phase(registry: &Registry) -> (String, Vec<(Strategy, u64)>, drone_serve::DrainStats) {
     let mut engine = Explorer::with_default_threads();
     engine.attach_telemetry(registry);
-    let server =
-        Server::start(engine, ServerConfig::default(), registry).expect("bind loopback server");
+    let server = ReactorServer::start(engine, ReactorConfig::default(), registry)
+        .expect("bind loopback server");
     let config = ClientConfig {
         reply_timeout: Duration::from_secs(10),
         trace_seed: SEED,

@@ -1,13 +1,13 @@
 //! The `serve` experiment: the batched DSE query server under a
 //! deterministic multi-client workload, plus a staged overload drill.
 //!
-//! Two phases against one live loopback server:
+//! Two phases against one live loopback reactor server:
 //!
-//! 1. **Overload drill** — workers paused, connections opened until
-//!    the bounded queue fills; the surplus must be shed with a
-//!    structured `overloaded` reply, then the admitted backlog drains
-//!    once workers resume. Accept order is FIFO, so the shed count is
-//!    exact, not statistical.
+//! 1. **Overload drill** — connections held open until every reactor
+//!    reaches its connection ceiling; the surplus must be shed with a
+//!    structured `overloaded` reply. The held connections are all
+//!    registered before the surplus dials, so the shed count is exact,
+//!    not statistical.
 //! 2. **Throughput run** — N client threads each pipeline a seeded
 //!    [`Workload`] stream and read back one reply per request.
 //!
@@ -23,15 +23,21 @@
 use crate::experiments::Report;
 use crate::table::{f, Table};
 use drone_explorer::Explorer;
-use drone_serve::{Server, ServerConfig, Workload};
+use drone_serve::{ReactorConfig, ReactorServer, Workload};
 use drone_telemetry::{Histogram, Json, Registry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 7;
 const CLIENTS: u64 = 3;
 const REQUESTS_PER_CLIENT: usize = 12;
-const DRILL_QUEUE_CAPACITY: usize = 4;
+const REACTORS: usize = 2;
+/// Connection ceiling per reactor during the whole run: the drill
+/// fills it, and the throughput run's clients fit under it.
+const DRILL_MAX_CONNECTIONS: usize = 2;
+/// Connections the drill holds open: every reactor at its ceiling.
+const DRILL_HELD: usize = REACTORS * DRILL_MAX_CONNECTIONS;
 const DRILL_OVERFLOW: usize = 3;
 
 /// FNV-1a over the sorted reply lines: a strong, order-independent
@@ -70,53 +76,66 @@ fn run_client(addr: std::net::SocketAddr, client: u64) -> Vec<String> {
         .collect()
 }
 
-/// Workers paused, the queue admits exactly `queue_capacity`
-/// connections and sheds the rest with structured replies; resuming
-/// drains the backlog. Returns (admitted, shed) counts.
-fn overload_drill(server: &Server) -> (usize, usize) {
-    server.pause_workers();
-    let mut admitted: Vec<TcpStream> = Vec::new();
-    let mut shed = 0usize;
-    for i in 0..DRILL_QUEUE_CAPACITY + DRILL_OVERFLOW {
-        let stream = TcpStream::connect(server.addr()).expect("connect during drill");
-        if i < DRILL_QUEUE_CAPACITY {
-            let mut workload = Workload::new(SEED + 1, i as u64);
-            let mut stream = stream;
-            stream
-                .write_all(workload.next_request_line().as_bytes())
-                .expect("write drill request");
-            stream
-                .shutdown(std::net::Shutdown::Write)
-                .expect("half-close drill connection");
-            admitted.push(stream);
-        } else {
-            // Overflow connections are shed at accept: one overloaded
-            // line, then close. Block until that reply arrives so the
-            // drill stays in lockstep with the acceptor.
-            let mut line = String::new();
-            BufReader::new(stream)
-                .read_line(&mut line)
-                .expect("read shed reply");
-            let doc = Json::parse(&line).expect("shed reply is JSON");
-            assert_eq!(
-                doc.get("error").and_then(|e| e.get("kind")),
-                Some(&Json::Str("overloaded".into())),
-                "shed reply must be structured: {line}"
-            );
-            shed += 1;
-        }
+/// Spin-waits (10 ms granularity) for `cond`, panicking after 5 s.
+/// Connection registration and teardown are asynchronous to the client
+/// side of a socket, so the drill and every drain that must abandon
+/// nothing wait on `live_connections()` (shared with `serve_scale` and
+/// `trace`).
+pub(crate) fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(10));
     }
-    server.resume_workers();
-    let drained = admitted.len();
-    for stream in admitted {
+}
+
+/// Holds every reactor at its connection ceiling (each held connection
+/// answered, and kept open), then dials the overflow: each surplus
+/// connection must be shed with one structured reply. Returns
+/// (admitted, shed) counts.
+fn overload_drill(server: &ReactorServer) -> (usize, usize) {
+    let mut held: Vec<BufReader<TcpStream>> = Vec::new();
+    for i in 0..DRILL_HELD {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect during drill");
+        let mut workload = Workload::new(SEED + 1, i as u64);
+        stream
+            .write_all(workload.next_request_line().as_bytes())
+            .expect("write drill request");
+        held.push(BufReader::new(stream));
+    }
+    // The acceptor deals connections round-robin, so once all of them
+    // are registered every reactor sits exactly at its ceiling.
+    wait_until("drill registration", || {
+        server.live_connections() == DRILL_HELD
+    });
+    for reader in &mut held {
         let mut line = String::new();
-        BufReader::new(stream)
-            .read_line(&mut line)
-            .expect("read drill reply");
+        reader.read_line(&mut line).expect("read drill reply");
         let doc = Json::parse(&line).expect("drill reply is JSON");
         assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{line}");
     }
-    (drained, shed)
+    let mut shed = 0usize;
+    for _ in 0..DRILL_OVERFLOW {
+        // Overflow connections are shed at registration: one
+        // overloaded line, then close.
+        let stream = TcpStream::connect(server.addr()).expect("connect during drill");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("read shed reply");
+        let doc = Json::parse(&line).expect("shed reply is JSON");
+        assert_eq!(
+            doc.get("error").and_then(|e| e.get("kind")),
+            Some(&Json::Str("overloaded".into())),
+            "shed reply must be structured: {line}"
+        );
+        shed += 1;
+    }
+    let admitted = held.len();
+    drop(held);
+    // Free the ceiling before the throughput run dials in.
+    wait_until("drill teardown", || server.live_connections() == 0);
+    (admitted, shed)
 }
 
 /// Runs the server benchmark and reports deterministic throughput,
@@ -126,12 +145,12 @@ pub fn serve() -> Report {
     let mut engine = Explorer::with_default_threads();
     engine.attach_telemetry(&registry);
     let engine_threads = engine.threads();
-    let config = ServerConfig {
-        workers: 2,
-        queue_capacity: DRILL_QUEUE_CAPACITY,
-        ..ServerConfig::default()
+    let config = ReactorConfig {
+        reactors: REACTORS,
+        max_connections: DRILL_MAX_CONNECTIONS,
+        ..ReactorConfig::default()
     };
-    let server = Server::start(engine, config, &registry).expect("bind loopback server");
+    let server = ReactorServer::start(engine, config, &registry).expect("bind loopback server");
 
     let (drill_admitted, drill_shed) = overload_drill(&server);
 
@@ -181,8 +200,8 @@ pub fn serve() -> Report {
 
     let quantile = |q: f64| latency_units.quantile(q).unwrap_or(0.0);
     let mut out = format!(
-        "DSE query server — {} worker(s) over a {}-thread engine\n\n",
-        config.workers, engine_threads
+        "DSE query server — {} reactor(s) over a {}-thread engine\n\n",
+        config.reactors, engine_threads
     );
     out.push_str(&format!(
         "overload drill: {drill_admitted} admitted, {drill_shed} shed with structured replies\n"
@@ -278,7 +297,7 @@ mod tests {
         };
         assert_eq!(
             num(&["throughput", "requests"]),
-            (CLIENTS as usize * REQUESTS_PER_CLIENT + DRILL_QUEUE_CAPACITY) as f64
+            (CLIENTS as usize * REQUESTS_PER_CLIENT + DRILL_HELD) as f64
         );
         assert_eq!(
             num(&["latency_units", "count"]),
@@ -292,7 +311,7 @@ mod tests {
         assert_eq!(
             num(&["drain", "threads_joined"]),
             3.0,
-            "2 workers + acceptor"
+            "2 reactors + acceptor"
         );
         assert_eq!(
             m.get("drain").unwrap().get("clean"),

@@ -1,18 +1,15 @@
 //! The `serve_scale` experiment: the epoll reactor front-end and the
-//! sharded scatter/gather router under load, measured against the
-//! threaded front-end they replace.
+//! sharded scatter/gather router under load.
 //!
 //! Three phases:
 //!
-//! 1. **Capacity drill** — the same held-connection workload against
-//!    both front-ends. Every client opens a connection, sends one
-//!    request and then *keeps the connection open*. The threaded
-//!    server parks one worker per connection, so it sustains exactly
-//!    `workers` concurrent connections; the reactor multiplexes every
-//!    connection onto its event loops and answers all of them. The
-//!    drill also pins the no-busy-polling invariant: with connections
-//!    held open but idle, the reactors' `epoll_wait` counter must not
-//!    move over the observation window.
+//! 1. **Capacity drill** — every client opens a connection, sends one
+//!    request and then *keeps the connection open*. The reactor
+//!    multiplexes every connection onto its event loops, so all of them
+//!    must be answered while all stay open. The drill also pins the
+//!    no-busy-polling invariant: with connections held open but idle,
+//!    the reactors' `epoll_wait` counter must not move over the
+//!    observation window.
 //! 2. **Router sweep** — a scatter/gather [`Router`] at each shard
 //!    count, with seeded clients running sequential request/reply
 //!    rounds. The FNV digest of the sorted replies must be identical
@@ -25,13 +22,11 @@
 //!    the shard-count-dependent `sharding` key, before diffing
 //!    artifacts across `--threads` and `--shards` values).
 
-use crate::experiments::serve_figs::fnv_digest;
+use crate::experiments::serve_figs::{fnv_digest, wait_until};
 use crate::experiments::Report;
 use crate::table::{f, Table};
 use drone_explorer::Explorer;
-use drone_serve::{
-    ReactorConfig, ReactorServer, Router, RouterConfig, RouterStats, Server, ServerConfig, Workload,
-};
+use drone_serve::{ReactorConfig, ReactorServer, Router, RouterConfig, RouterStats, Workload};
 use drone_telemetry::{Histogram, Json, Registry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -41,13 +36,10 @@ use std::time::{Duration, Instant};
 const SEED: u64 = 11;
 /// Connections held open simultaneously during the capacity drill.
 const HELD_CONNECTIONS: usize = 24;
-/// Worker threads for the threaded baseline; its concurrency ceiling.
-const THREADED_WORKERS: usize = 2;
 /// Event-loop threads for the reactor front-end and every shard.
 const REACTORS: usize = 2;
 /// How long a drill reader waits before declaring its connection
-/// starved. Served connections answer in milliseconds; only the
-/// starved ones pay this.
+/// starved. Served connections answer in milliseconds.
 const HOLD_READ_TIMEOUT: Duration = Duration::from_millis(2500);
 /// Idle observation window for the zero-wakeup invariant.
 const IDLE_WINDOW: Duration = Duration::from_millis(500);
@@ -115,49 +107,15 @@ fn hold_and_count(addr: SocketAddr, seed: u64) -> (Vec<TcpStream>, usize) {
     (streams, served)
 }
 
-/// Spin-waits (10 ms granularity) for `cond`, panicking after 5 s.
-fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 struct CapacityDrill {
-    threaded_concurrent: usize,
-    reactor_concurrent: usize,
+    concurrent: usize,
     idle_wakeups: u64,
-    threaded_drain: drone_serve::DrainStats,
-    reactor_drain: drone_serve::DrainStats,
+    drain: drone_serve::DrainStats,
 }
 
-/// Runs the held-connection drill against both front-ends.
+/// Runs the held-connection drill: every connection multiplexed onto
+/// [`REACTORS`] event loops.
 fn capacity_drill() -> CapacityDrill {
-    // Threaded baseline: a parked worker per connection.
-    let registry = Registry::with_wall_clock();
-    let config = ServerConfig {
-        workers: THREADED_WORKERS,
-        queue_capacity: HELD_CONNECTIONS + 8,
-        ..ServerConfig::default()
-    };
-    let server =
-        Server::start(Explorer::with_default_threads(), config, &registry).expect("bind threaded");
-    let (streams, threaded_concurrent) = hold_and_count(server.addr(), SEED);
-    // Release the held connections; the parked workers hit EOF, return
-    // to the queue and answer the starved backlog, so the drain below
-    // is deterministic (every request served, nothing abandoned).
-    for stream in &streams {
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-    }
-    let requests = registry.counter("serve.requests");
-    wait_until("threaded backlog drain", || {
-        requests.get() == HELD_CONNECTIONS as u64
-    });
-    drop(streams);
-    let threaded_drain = server.drain();
-
-    // Reactor: every connection multiplexed onto REACTORS event loops.
     let registry = Registry::with_wall_clock();
     let config = ReactorConfig {
         reactors: REACTORS,
@@ -165,7 +123,7 @@ fn capacity_drill() -> CapacityDrill {
     };
     let server = ReactorServer::start(Explorer::with_default_threads(), config, &registry)
         .expect("bind reactor");
-    let (streams, reactor_concurrent) = hold_and_count(server.addr(), SEED + 1);
+    let (streams, concurrent) = hold_and_count(server.addr(), SEED + 1);
     // All replies are in; the connections stay open but idle, and no
     // progress deadline is armed, so the reactors must sleep in
     // epoll_wait indefinitely: zero wakeups over the window.
@@ -176,14 +134,12 @@ fn capacity_drill() -> CapacityDrill {
     wait_until("reactor connection teardown", || {
         server.live_connections() == 0
     });
-    let reactor_drain = server.drain();
+    let drain = server.drain();
 
     CapacityDrill {
-        threaded_concurrent,
-        reactor_concurrent,
+        concurrent,
         idle_wakeups,
-        threaded_drain,
-        reactor_drain,
+        drain,
     }
 }
 
@@ -269,12 +225,9 @@ fn router_run(shards: usize) -> RouterRun {
 /// capacity/parity numbers plus wall-clock throughput under `measured`.
 pub fn serve_scale() -> Report {
     let drill = capacity_drill();
-    assert!(
-        drill.reactor_concurrent >= 4 * drill.threaded_concurrent,
-        "reactor must sustain >= 4x the threaded connection count \
-         (got {} vs {})",
-        drill.reactor_concurrent,
-        drill.threaded_concurrent
+    assert_eq!(
+        drill.concurrent, HELD_CONNECTIONS,
+        "the reactor must answer every held connection"
     );
     assert_eq!(
         drill.idle_wakeups, 0,
@@ -301,15 +254,12 @@ pub fn serve_scale() -> Report {
     }
     let digest = digest.expect("at least one shard count");
 
-    let ratio = drill.reactor_concurrent as f64 / drill.threaded_concurrent.max(1) as f64;
     let mut out = format!(
-        "serve at scale — epoll reactor + sharded scatter/gather vs the threaded front-end\n\n\
-         capacity drill: {HELD_CONNECTIONS} held connections; threaded ({THREADED_WORKERS} \
-         workers) sustained {}, reactor ({REACTORS} reactors) sustained {} ({:.1}x)\n\
+        "serve at scale — epoll reactor + sharded scatter/gather\n\n\
+         capacity drill: {HELD_CONNECTIONS} held connections; reactor ({REACTORS} reactors) \
+         sustained {}\n\
          idle reactors over {} ms: {} epoll wakeups\n\n",
-        drill.threaded_concurrent,
-        drill.reactor_concurrent,
-        ratio,
+        drill.concurrent,
         IDLE_WINDOW.as_millis(),
         drill.idle_wakeups,
     );
@@ -342,12 +292,6 @@ pub fn serve_scale() -> Report {
         "\nreply digest (shard-count invariant): {digest}\n"
     ));
 
-    let drain_json = |stats: &drone_serve::DrainStats| {
-        Json::obj()
-            .with("threads_joined", stats.threads_joined)
-            .with("abandoned_connections", stats.abandoned_connections)
-            .with("clean", stats.clean)
-    };
     let metrics = Json::obj()
         .with(
             "workload",
@@ -360,15 +304,17 @@ pub fn serve_scale() -> Report {
         .with(
             "capacity",
             Json::obj()
-                .with("threaded_workers", THREADED_WORKERS)
-                .with("threaded_concurrent", drill.threaded_concurrent)
                 .with("reactors", REACTORS)
-                .with("reactor_concurrent", drill.reactor_concurrent)
-                .with("ratio", ratio)
+                .with("reactor_concurrent", drill.concurrent)
                 .with("idle_window_ms", IDLE_WINDOW.as_millis() as u64)
                 .with("idle_wakeups", drill.idle_wakeups)
-                .with("threaded_drain", drain_json(&drill.threaded_drain))
-                .with("reactor_drain", drain_json(&drill.reactor_drain)),
+                .with(
+                    "reactor_drain",
+                    Json::obj()
+                        .with("threads_joined", drill.drain.threads_joined)
+                        .with("abandoned_connections", drill.drain.abandoned_connections)
+                        .with("clean", drill.drain.clean),
+                ),
         )
         .with(
             "router",
@@ -439,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn reactor_sustains_at_least_four_times_the_threaded_capacity() {
+    fn reactor_answers_every_held_connection() {
         let report = serve_scale();
         let m = &report.metrics;
         let num = |path: &[&str]| {
@@ -450,33 +396,33 @@ mod tests {
             doc.as_f64().unwrap()
         };
         assert_eq!(
-            num(&["capacity", "threaded_concurrent"]),
-            THREADED_WORKERS as f64,
-            "the threaded front-end parks one worker per held connection"
-        );
-        assert_eq!(
             num(&["capacity", "reactor_concurrent"]),
             HELD_CONNECTIONS as f64,
             "the reactor must answer every held connection"
         );
-        assert!(num(&["capacity", "ratio"]) >= 4.0);
         assert_eq!(num(&["capacity", "idle_wakeups"]), 0.0);
         assert_eq!(
             num(&["router", "requests_per_count"]),
             (CLIENTS as usize * REQUESTS_PER_CLIENT) as f64
         );
         assert_eq!(num(&["router", "errors"]), 0.0);
-        for stats in ["threaded_drain", "reactor_drain"] {
-            assert_eq!(
-                m.get("capacity").unwrap().get(stats).unwrap().get("clean"),
-                Some(&Json::Bool(true))
-            );
-            assert_eq!(
-                num(&["capacity", stats, "abandoned_connections"]),
-                0.0,
-                "the drill must leave no abandoned connections"
-            );
-        }
+        assert_eq!(
+            m.get("capacity")
+                .unwrap()
+                .get("reactor_drain")
+                .unwrap()
+                .get("clean"),
+            Some(&Json::Bool(true))
+        );
+        assert_eq!(
+            num(&["capacity", "reactor_drain", "threads_joined"]),
+            (REACTORS + 1) as f64
+        );
+        assert_eq!(
+            num(&["capacity", "reactor_drain", "abandoned_connections"]),
+            0.0,
+            "the drill must leave no abandoned connections"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!    counts, so `BENCH_trace.json` is byte-identical at `--threads 1`
 //!    and `--threads 4` and CI diffs exactly that.
 
-use super::serve_figs::fnv_digest;
+use super::serve_figs::{fnv_digest, wait_until};
 use crate::experiments::Report;
 use crate::table::{f, Table};
 use drone_components::battery::CellCount;
@@ -30,7 +30,7 @@ use drone_serve::protocol::{
     handle_batch_traced, request_to_json, request_to_json_traced, BatchPolicy, BatchTracing,
     ReplySlot,
 };
-use drone_serve::{Client, ClientConfig, Server, ServerConfig, Workload};
+use drone_serve::{Client, ClientConfig, ReactorConfig, ReactorServer, Workload};
 use drone_telemetry::trace::Trace;
 use drone_telemetry::{derive_trace_id, id_hex, Clock, Json, Registry, TraceRing};
 use std::sync::Arc;
@@ -289,13 +289,13 @@ fn live_introspection() -> (Json, String) {
     let registry = Registry::with_wall_clock();
     let mut engine = Explorer::with_default_threads();
     engine.attach_telemetry(&registry);
-    let config = ServerConfig {
-        workers: 2,
+    let config = ReactorConfig {
+        reactors: 2,
         trace_seed: SEED,
         trace_capacity: 64,
-        ..ServerConfig::default()
+        ..ReactorConfig::default()
     };
-    let server = Server::start(engine, config, &registry).expect("bind loopback server");
+    let server = ReactorServer::start(engine, config, &registry).expect("bind loopback server");
     let addr = server.addr();
 
     let clients: Vec<std::thread::JoinHandle<Vec<String>>> = (0..PHASE_B_CLIENTS)
@@ -369,6 +369,9 @@ fn live_introspection() -> (Json, String) {
     let wall_batches = registry.histogram("serve.request.latency_s").snapshot();
     probes_ok += 2;
 
+    // Every call closed its connection client-side; let the reactors
+    // see each close so the drain abandons nothing.
+    wait_until("client closes", || server.live_connections() == 0);
     let drain = server.drain();
     let requests = registry.counter("serve.requests").get();
     let admin = registry.counter("serve.admin_requests").get();
@@ -414,15 +417,15 @@ fn live_introspection() -> (Json, String) {
         .and_then(Json::as_f64)
         .unwrap_or(-1.0);
     let mut text = format!(
-        "phase B — live introspection plane ({} clients x {} requests, {} workers)\n",
-        PHASE_B_CLIENTS, PHASE_B_REQUESTS, 2
+        "phase B — live introspection plane ({} clients x {} requests, {} reactors)\n",
+        PHASE_B_CLIENTS, PHASE_B_REQUESTS, config.reactors
     );
     text.push_str(&format!(
         "  {requests} requests served ({} answered, {admin} introspection, {panics} panics); {probes_ok} probes all ok\n",
         replies.len(),
     ));
     text.push_str(&format!(
-        "  trace {} fetched back: {fetched_spans} spans; final queue depth {queue_depth}\n",
+        "  trace {} fetched back: {fetched_spans} spans; final open connections {queue_depth}\n",
         id_hex(wanted),
     ));
     text.push_str(&format!(

@@ -2,7 +2,7 @@
 //! airframe's `FaultSchedule` (PR 1), aimed at the serving stack.
 //!
 //! [`ChaosProxy`] is a std-only loopback relay that sits between a
-//! client and a [`crate::Server`], forwarding bytes while injecting
+//! client and a [`crate::ReactorServer`], forwarding bytes while injecting
 //! one configured [`Fault`] per connection according to a
 //! [`FaultSchedule`]. Faults model the classic network misbehaviors:
 //!
@@ -15,7 +15,8 @@
 //!   until half-close, then delivered as one giant write.
 //! * [`Fault::TruncateReplyAfter`] — the reply cut off mid-line.
 //! * [`Fault::StallAfter`] — slow-loris: N bytes, then silence long
-//!   enough to trip the server's idle deadline.
+//!   enough to trip the server's line deadline
+//!   ([`crate::ReactorConfig::line_deadline`]).
 //! * [`Fault::GarbagePrefix`] — a seeded garbage line interleaved
 //!   ahead of the real request.
 //!
@@ -349,11 +350,16 @@ fn would_block(e: &std::io::Error) -> bool {
     e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut
 }
 
+// Socket-level: gated like the reactor the tests start.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{CallError, Client, ClientConfig};
-    use crate::server::{Server, ServerConfig};
+    use crate::reactor::{ReactorConfig, ReactorServer};
     use drone_components::battery::CellCount;
     use drone_explorer::{Explorer, GridRange, Objective, Query, QueryRanges};
     use drone_telemetry::Registry;
@@ -386,7 +392,8 @@ mod tests {
 
     fn run_through(schedule: FaultSchedule) -> (Result<u32, CallError>, ProxyStats, Registry) {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server =
+            ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry).unwrap();
         let proxy = ChaosProxy::start(server.addr(), schedule, 42).unwrap();
         let mut client = Client::new(proxy.addr(), client_config(), &registry);
         let outcome = client.call(&query()).map(|s| s.attempts);

@@ -438,7 +438,6 @@ fn reply_error(reply: &Json) -> RequestError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{Server, ServerConfig};
     use drone_components::battery::CellCount;
     use drone_explorer::{Explorer, GridRange, Objective, QueryRanges};
     use std::net::TcpListener;
@@ -458,6 +457,16 @@ mod tests {
         )
     }
 
+    /// Socket-level tests start a reactor, so they carry its target gate.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    fn live_server(registry: &Registry) -> crate::ReactorServer {
+        crate::ReactorServer::start(Explorer::new(2), crate::ReactorConfig::default(), registry)
+            .unwrap()
+    }
+
     fn fast_config() -> ClientConfig {
         ClientConfig {
             backoff_initial_ms: 1,
@@ -467,10 +476,14 @@ mod tests {
         }
     }
 
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
     #[test]
     fn a_clean_call_answers_on_the_first_attempt() {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server = live_server(&registry);
         let mut client = Client::new(server.addr(), fast_config(), &registry);
         let success = client.call(&small_query("clean")).unwrap();
         assert_eq!(success.attempts, 1);
@@ -481,10 +494,14 @@ mod tests {
         assert!(server.drain().clean);
     }
 
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
     #[test]
     fn a_reset_connection_is_retried_to_success() {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server = live_server(&registry);
         // A one-shot flaky front: first connection dropped on the
         // floor, later ones relayed verbatim to the real server.
         let front = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -512,10 +529,14 @@ mod tests {
         assert!(server.drain().clean);
     }
 
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
     #[test]
     fn typed_rejections_are_not_retried() {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server = live_server(&registry);
         let mut client = Client::new(server.addr(), fast_config(), &registry);
         // An inverted range fails validation server-side.
         let mut bad = small_query("bad");
@@ -574,10 +595,14 @@ mod tests {
         assert!(matches!(client.call(&query), Err(CallError::BreakerOpen)));
     }
 
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
     #[test]
     fn a_successful_probe_closes_the_breaker() {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server = live_server(&registry);
         let config = ClientConfig {
             retries: 0,
             breaker_threshold: 1,
@@ -606,10 +631,14 @@ mod tests {
         assert!(server.drain().clean);
     }
 
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
     #[test]
     fn a_call_stamps_a_trace_the_client_can_fetch_back() {
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).unwrap();
+        let server = live_server(&registry);
         let config = ClientConfig {
             trace_seed: 99,
             ..fast_config()

@@ -1,4 +1,4 @@
-//! Newline framing shared by the threaded and reactor front-ends.
+//! Newline framing for the reactor front-end.
 //!
 //! [`LineFramer`] turns an arbitrary chunk stream into complete request
 //! lines with three properties the connection loops used to get wrong

@@ -17,19 +17,21 @@
 //!   [`protocol::handle_batch`], which coalesces a batch of request
 //!   lines into **one** [`drone_explorer::Explorer::run_batch`] call
 //!   so pipelined queries share the memoization cache.
-//! - [`framer`] — incremental newline framing shared by both
-//!   front-ends: linear-time watermark scanning, one copy per line,
-//!   `too_large` resynchronization, and the `has_partial` ground
-//!   truth the progress deadlines are armed on.
-//! - [`server`] — the threaded front-end: a single acceptor feeding a
-//!   bounded connection queue drained by a worker pool, structured
-//!   `overloaded` sheds once the queue fills, and a graceful
-//!   [`server::Server::drain`] that joins every thread.
-//! - [`reactor`] — the epoll front-end: per-core reactor threads over
-//!   raw readiness syscalls (no libc, no runtime crate), each owning
-//!   a slab of nonblocking connections, with no idle busy-polling —
-//!   an idle server makes zero `epoll_wait` returns. Same framer,
-//!   same batch core, same `serve.*` metrics as [`server`].
+//! - [`framer`] — incremental newline framing: linear-time watermark
+//!   scanning, one copy per line, `too_large` resynchronization, and
+//!   the `has_partial` ground truth the progress deadlines are armed
+//!   on.
+//! - [`service`] — the engine-backed [`EngineService`]: coalesces
+//!   complete lines into protocol batches, isolates panics, answers
+//!   introspection, and owns the `serve.*` metric family.
+//! - [`reactor`] — the serving front-end: per-core epoll reactor
+//!   threads over raw readiness syscalls (no libc, no runtime crate),
+//!   each owning a slab of nonblocking connections, with no idle
+//!   busy-polling — an idle server makes zero `epoll_wait` returns.
+//!   Past the per-reactor connection ceiling a fresh connection gets
+//!   one structured `overloaded` reply, and [`ReactorServer::drain`]
+//!   joins every thread. The epoll shims exist only on Linux
+//!   x86_64/aarch64; other targets build but have no front-end.
 //! - [`router`] — process-level sharding: the memo cache's
 //!   quantized-FNV scheme lifted to N engine shards behind a thin
 //!   scatter/gather front whose input-ordered merge makes replies
@@ -49,7 +51,8 @@
 //! client-stamped or server-derived) into a bounded ring, and two
 //! additional wire request kinds — `{"id":..,"stats":{}}` and
 //! `{"id":..,"trace":{"last":N}}` — let a live client snapshot the
-//! metrics registry, queue depth and recent span trees mid-workload.
+//! metrics registry, open-connection count and recent span trees
+//! mid-workload.
 
 pub mod chaos;
 pub mod client;
@@ -57,9 +60,22 @@ pub mod framer;
 pub mod protocol;
 pub mod reactor;
 pub mod router;
-pub mod server;
+pub mod service;
 pub(crate) mod sys;
 pub mod workload;
+
+/// End-to-end tests of the serving front-end over loopback sockets:
+/// the contract every [`ReactorServer`] caller relies on (ordering,
+/// shedding, deadlines, panic isolation, introspection, drain).
+/// Reactor internals are tested in `reactor::tests`.
+#[cfg(all(
+    test,
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod server {
+    mod tests;
+}
 
 pub use chaos::{ChaosProxy, Fault, FaultSchedule, ProxyStats};
 pub use client::{CallError, CallSuccess, Client, ClientConfig};
@@ -72,7 +88,7 @@ pub use protocol::{
     BatchPolicy, BatchTracing, ErrorKind, ReplySlot, Request, RequestBody, RequestError,
     TraceQuery, MAX_TRACE_FETCH,
 };
-pub use reactor::{EngineService, LineHandler, ReactorConfig, ReactorServer};
+pub use reactor::{LineHandler, ReactorConfig, ReactorServer};
 pub use router::{Router, RouterConfig, RouterStats};
-pub use server::{DrainStats, Server, ServerConfig};
+pub use service::{DrainStats, EngineService};
 pub use workload::Workload;

@@ -1,35 +1,33 @@
 //! The epoll front-end: readiness-driven connection handling on a
-//! small fixed set of reactor threads.
+//! small fixed set of reactor threads. It is the crate's only serving
+//! front-end.
 //!
-//! The threaded [`crate::Server`] pins one worker thread to one
-//! connection for the connection's whole lifetime, so its concurrent
-//! connection ceiling *is* its worker count. This module replaces that
-//! front-end with the classic reactor shape: every socket is
-//! nonblocking and registered with an [`crate::sys::Epoll`] instance;
-//! each reactor thread owns a slab of connections and sleeps in
-//! `epoll_wait` until the kernel reports one of them readable or
-//! writable. A reactor wakes *only* for socket readiness, an inbox
-//! handoff from the acceptor, or the earliest armed progress deadline —
-//! there is no periodic poll tick, so an idle server makes zero
-//! wakeups.
+//! Every socket is nonblocking and registered with an epoll instance
+//! (the raw shims in `sys.rs`); each reactor thread owns a slab of
+//! connections and sleeps in `epoll_wait` until the kernel reports one
+//! of them readable or writable. A reactor wakes *only* for socket
+//! readiness, an inbox handoff from the acceptor, or the earliest armed
+//! progress deadline — there is no periodic poll tick, so an idle
+//! server makes zero wakeups. A connection costs a slab entry, not a
+//! thread, so the concurrent-connection ceiling is
+//! [`ReactorConfig::max_connections`] per reactor rather than a worker
+//! count.
 //!
-//! Everything above the event loop is shared with the threaded server:
-//! the same [`LineFramer`] turns chunks into complete lines, and the
-//! same `BatchCore` (via [`EngineService`]) answers them, so protocol
-//! behaviour cannot drift between the two front-ends. The event loop
-//! itself is generic over a [`LineHandler`] — the scatter/gather
+//! The reactor owns sockets, framing and deadlines only: the
+//! [`LineFramer`] turns chunks into complete lines, and a
+//! [`LineHandler`] answers them. [`ReactorServer::start`] plugs in the
+//! engine-backed [`EngineService`]; the scatter/gather
 //! [`crate::router::Router`] front is the second implementation.
 //!
-//! The slow-loris defense ports over with stronger mechanics: instead
-//! of a per-read timeout, each connection that *owes a newline* carries
-//! a progress deadline, and the reactor's `epoll_wait` timeout is the
-//! earliest one armed. A byte-dripping client wakes the reactor per
-//! byte but never resets the deadline; a fully idle connection arms no
-//! deadline and costs no wakeups at all.
+//! The slow-loris defense is progress-based: each connection that
+//! *owes a newline* carries a progress deadline, and the reactor's
+//! `epoll_wait` timeout is the earliest one armed. A byte-dripping
+//! client wakes the reactor per byte but never resets the deadline; a
+//! fully idle connection arms no deadline and costs no wakeups at all.
 
 use crate::framer::{FrameEvent, LineFramer};
 use crate::protocol::ErrorKind;
-use crate::server::{BatchCore, DrainStats};
+use crate::service::{DrainStats, EngineService};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use drone_explorer::{Explorer, QueryLimits};
 use drone_telemetry::Registry;
@@ -52,21 +50,24 @@ pub struct ReactorConfig {
     pub max_connections: usize,
     /// Most pipelined requests coalesced into one engine batch.
     pub max_batch: usize,
-    /// Per-line byte cap (see [`crate::ServerConfig::max_line_bytes`]).
+    /// Per-line byte cap; a longer line gets a `too_large` reply and
+    /// the framer resynchronizes at the next newline.
     pub max_line_bytes: usize,
     /// Reply-backlog cap per connection: while more than this many
     /// unflushed reply bytes are buffered, the reactor drops the
-    /// connection's read interest (the threaded path gets the same
-    /// backpressure for free from blocking writes). Without it a client
-    /// that pipelines requests but never reads its socket grows server
-    /// memory without bound.
+    /// connection's read interest. Without it a client that pipelines
+    /// requests but never reads its socket grows server memory without
+    /// bound.
     pub max_outbuf_bytes: usize,
     /// Progress-based slow-loris budget: a connection owing a newline
     /// for this long gets a typed `deadline_exceeded` reply and closes.
-    /// `None` (the default) waits forever.
+    /// Raw byte arrival is *not* progress — a client dripping one byte
+    /// at a time burns its budget just like a silent one. `None` (the
+    /// default) waits forever.
     pub line_deadline: Option<Duration>,
-    /// Per-request cost-unit deadline (see
-    /// [`crate::ServerConfig::cost_deadline`]).
+    /// Per-request cost-unit deadline: a request whose worst-case
+    /// budget exceeds this is shed with a typed `deadline_exceeded`
+    /// reply before evaluation starts. `None` disables shedding.
     pub cost_deadline: Option<u64>,
     /// Query validation limits applied to every request.
     pub limits: QueryLimits,
@@ -107,39 +108,6 @@ pub trait LineHandler: Send + Sync + 'static {
     /// One overload line (no trailing newline) for a connection shed at
     /// the door.
     fn overloaded(&self) -> String;
-}
-
-/// [`LineHandler`] over the shared `BatchCore`: the engine-backed
-/// service the threaded server and the reactor both speak.
-pub struct EngineService {
-    core: BatchCore,
-    live: Arc<AtomicUsize>,
-}
-
-impl EngineService {
-    /// Wraps an engine with the reactor's live-connection gauge; a
-    /// `stats` introspection reply reports that count as `queue_depth`
-    /// (the reactor has no admission queue — its backlog *is* its open
-    /// connections).
-    pub(crate) fn new(core: BatchCore, live: Arc<AtomicUsize>) -> EngineService {
-        EngineService { core, live }
-    }
-}
-
-impl LineHandler for EngineService {
-    fn handle_lines(&self, lines: &[String], out: &mut String) {
-        let live = &self.live;
-        self.core
-            .run_lines(lines, &|| live.load(Ordering::SeqCst), out);
-    }
-
-    fn refusal(&self, kind: ErrorKind, message: &str) -> String {
-        self.core.refusal_line(kind, message)
-    }
-
-    fn overloaded(&self) -> String {
-        self.core.overload_line()
-    }
 }
 
 /// Acceptor → reactor handoff: freshly accepted sockets parked until
@@ -199,16 +167,7 @@ impl ReactorServer {
         registry: &Registry,
     ) -> std::io::Result<ReactorServer> {
         let live = Arc::new(AtomicUsize::new(0));
-        let core = BatchCore::new(
-            engine,
-            registry,
-            config.limits,
-            config.max_batch,
-            config.cost_deadline,
-            config.trace_capacity,
-            config.trace_seed,
-        );
-        let service = EngineService::new(core, Arc::clone(&live));
+        let service = EngineService::new(engine, registry, &config, Arc::clone(&live));
         ReactorServer::start_with_handler(Arc::new(service), config, live)
     }
 
@@ -328,7 +287,7 @@ impl ReactorServer {
 
 impl Drop for ReactorServer {
     fn drop(&mut self) {
-        // A dropped server must not leak threads (mirrors Server).
+        // A dropped server must not leak threads.
         if self.acceptor.is_some() || !self.reactors.is_empty() {
             let server = ReactorServer {
                 addr: self.addr,
@@ -439,8 +398,8 @@ fn admit_pending(
     for mut stream in pending {
         let open = slab.len() - free.len();
         if open >= config.max_connections.max(1) {
-            // Shed at the door, mirroring the threaded server: one
-            // structured reply on the still-blocking socket, then close.
+            // Shed at the door: one structured reply on the
+            // still-blocking socket, then close.
             let _ = writeln!(stream, "{}", handler.overloaded());
             continue;
         }
@@ -577,8 +536,8 @@ fn drain_readable(
             Err(_) => return false,
         }
     }
-    // The slow-loris rule, shared with the threaded path: completing a
-    // line (or owing nothing) resets the budget; raw bytes do not.
+    // The slow-loris rule: completing a line (or owing nothing) resets
+    // the budget; raw bytes do not.
     if progressed || !conn.framer.has_partial() {
         conn.deadline = if conn.framer.has_partial() {
             config.line_deadline.map(|d| Instant::now() + d)

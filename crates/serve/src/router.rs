@@ -47,7 +47,7 @@
 
 use crate::protocol::{self, ErrorKind, Request, RequestBody, RequestError};
 use crate::reactor::{LineHandler, ReactorConfig, ReactorServer};
-use crate::server::DrainStats;
+use crate::service::DrainStats;
 use drone_dse::eval::{DesignQuery, OBJECTIVE_SENSES};
 use drone_explorer::{
     extract_frontier, CacheKey, Explorer, Objective, Query, QueryLimits, ShardSpec,

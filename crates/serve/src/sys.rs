@@ -10,9 +10,9 @@
 //!
 //! Portability: the asm paths cover `linux + (x86_64 | aarch64)` — the
 //! dev boxes and CI runners this repo targets. Elsewhere every entry
-//! point returns `ENOSYS`-flavoured `io::Error`s, so the crate still
-//! builds and the threaded [`crate::Server`] remains the portable
-//! front-end.
+//! point returns `ENOSYS`-flavoured `io::Error`s: the crate still
+//! builds, but there is no serving front-end —
+//! [`crate::ReactorServer::start`] fails with that error.
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -48,6 +48,17 @@ pub struct EpollEvent {
     /// The token registered with the fd.
     pub data: u64,
 }
+
+// The reactor is the only front-end, so a layout slip here would break
+// all serving: pin the kernel ABI at compile time.
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(
+    core::mem::size_of::<EpollEvent>() == 12 && core::mem::offset_of!(EpollEvent, data) == 4
+);
+#[cfg(target_arch = "aarch64")]
+const _: () = assert!(
+    core::mem::size_of::<EpollEvent>() == 16 && core::mem::offset_of!(EpollEvent, data) == 8
+);
 
 impl EpollEvent {
     /// A zeroed event, for pre-sizing wait buffers.

@@ -6,7 +6,7 @@
 
 use drone_explorer::{Explorer, QueryLimits};
 use drone_serve::protocol::{handle_batch_traced, BatchPolicy, BatchTracing, ReplySlot};
-use drone_serve::{Client, ClientConfig, Server, ServerConfig, Workload};
+use drone_serve::{Client, ClientConfig, ReactorConfig, ReactorServer, Workload};
 use drone_telemetry::{Clock, Json, Registry, TraceRing};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -31,10 +31,15 @@ fn round_trip(addr: std::net::SocketAddr, lines: &[String]) -> Vec<Json> {
 /// drain — byte for byte — when the stats request is the last traffic
 /// the server sees. The server accounts the whole batch *before*
 /// resolving the stats slot, so nothing moves between the two.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 #[test]
 fn wire_stats_equal_the_in_process_snapshot_after_drain() {
     let registry = Registry::with_wall_clock();
-    let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry).expect("bind");
+    let server =
+        ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry).expect("bind");
     let mut workload = Workload::new(11, 0);
     let mut lines: Vec<String> = (0..6).map(|_| workload.next_request_line()).collect();
     lines.push("{\"id\":999,\"stats\":{}}\n".to_owned());
@@ -60,17 +65,21 @@ fn wire_stats_equal_the_in_process_snapshot_after_drain() {
 /// The acceptance path: a live server answers `stats` and `trace`
 /// requests *while* seeded workload clients hammer it, with zero
 /// panics caught and a clean drain joining every thread.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 #[test]
 fn introspection_answers_mid_workload_without_panics_or_leaks() {
     const SEED: u64 = 7;
     const CLIENTS: u64 = 3;
     const REQUESTS_PER_CLIENT: u64 = 8;
     let registry = Registry::with_wall_clock();
-    let config = ServerConfig {
-        workers: 3,
-        ..ServerConfig::default()
+    let config = ReactorConfig {
+        reactors: 3,
+        ..ReactorConfig::default()
     };
-    let server = Server::start(Explorer::new(2), config, &registry).expect("bind");
+    let server = ReactorServer::start(Explorer::new(2), config, &registry).expect("bind");
     let addr = server.addr();
 
     let workers: Vec<_> = (0..CLIENTS)
@@ -123,7 +132,7 @@ fn introspection_answers_mid_workload_without_panics_or_leaks() {
 
     let stats = server.drain();
     assert!(stats.clean);
-    assert_eq!(stats.threads_joined, 3 + 1, "workers plus acceptor");
+    assert_eq!(stats.threads_joined, 3 + 1, "reactors plus acceptor");
 }
 
 /// Satellite 3, wire part: the span trees recorded for one seeded

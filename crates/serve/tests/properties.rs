@@ -4,7 +4,7 @@
 
 use drone_explorer::{Explorer, QueryLimits};
 use drone_serve::protocol::{handle_batch, parse_request};
-use drone_serve::{Server, ServerConfig, Workload};
+use drone_serve::{ReactorConfig, ReactorServer, Workload};
 use drone_telemetry::{Json, Registry};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -92,6 +92,10 @@ proptest! {
     /// plus at most one structured error for the truncated tail. One
     /// request carries a multi-byte name, so cuts can land inside a
     /// UTF-8 sequence.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
     #[test]
     fn split_payloads_never_lose_or_reorder_delivered_requests(
         keep_permille in 0u32..=1000,
@@ -102,7 +106,7 @@ proptest! {
         use drone_serve::request_to_json;
 
         let registry = Registry::with_wall_clock();
-        let server = Server::start(Explorer::new(2), ServerConfig::default(), &registry)
+        let server = ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry)
             .expect("bind loopback");
         let mut payload: Vec<u8> = Vec::new();
         let mut line_ends: Vec<usize> = Vec::new();
@@ -168,11 +172,15 @@ proptest! {
 /// End-to-end: junk bytes and valid requests interleaved over a real
 /// socket. The server answers the valid ones, rejects the junk with
 /// structured errors, and drains with every thread joined.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 #[test]
 fn socket_survives_junk_interleaved_with_valid_requests() {
     let registry = Registry::with_wall_clock();
-    let server =
-        Server::start(Explorer::new(2), ServerConfig::default(), &registry).expect("bind loopback");
+    let server = ReactorServer::start(Explorer::new(2), ReactorConfig::default(), &registry)
+        .expect("bind loopback");
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut workload = Workload::new(9, 0);
     let mut expected_ok = 0usize;
@@ -204,8 +212,8 @@ fn socket_survives_junk_interleaved_with_valid_requests() {
     let stats = server.drain();
     assert_eq!(
         stats.threads_joined,
-        ServerConfig::default().workers + 1,
-        "drain must join the acceptor and every worker"
+        ReactorConfig::default().reactors + 1,
+        "drain must join the acceptor and every reactor"
     );
     assert!(stats.clean);
 }
@@ -219,7 +227,7 @@ fn socket_survives_junk_interleaved_with_valid_requests() {
 ))]
 mod reactor_props {
     use super::*;
-    use drone_serve::{ReactorConfig, ReactorServer, Router, RouterConfig};
+    use drone_serve::{Router, RouterConfig};
     use std::time::{Duration, Instant};
 
     fn drip_chunks(stream: &mut TcpStream, payload: &[u8], cuts: Vec<usize>, keep: usize) {
@@ -466,12 +474,16 @@ mod reactor_props {
 }
 
 /// A client that opens a connection, sends nothing and hangs up must
-/// not wedge a worker or leave threads behind.
+/// not wedge a reactor or leave threads behind.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 #[test]
 fn silent_clients_do_not_wedge_the_pool() {
     let registry = Registry::with_wall_clock();
-    let server =
-        Server::start(Explorer::new(1), ServerConfig::default(), &registry).expect("bind loopback");
+    let server = ReactorServer::start(Explorer::new(1), ReactorConfig::default(), &registry)
+        .expect("bind loopback");
     for _ in 0..3 {
         let stream = TcpStream::connect(server.addr()).unwrap();
         drop(stream);

@@ -8,7 +8,7 @@
 //! cargo run --release --example dse_client -- --trace
 //! ```
 //!
-//! The example starts a [`drone_serve::Server`] in-process and drives
+//! The example starts a [`drone_serve::ReactorServer`] in-process and drives
 //! it with N concurrent resilient [`drone_serve::Client`]s replaying a
 //! deterministic seeded [`drone_serve::Workload`]. `--retries` and
 //! `--backoff-ms` configure the clients' retry/backoff policy;
@@ -33,7 +33,7 @@ use drone_components::battery::CellCount;
 use drone_explorer::{
     Constraints, Explorer, GridRange, Objective, OptimizeRequest, QueryRanges, Strategy,
 };
-use drone_serve::{CallError, Client, ClientConfig, Server, ServerConfig, Workload};
+use drone_serve::{CallError, Client, ClientConfig, ReactorConfig, ReactorServer, Workload};
 use drone_telemetry::{derive_trace_id, id_hex, Json, Registry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -208,11 +208,11 @@ fn main() -> ExitCode {
     let registry = Registry::with_wall_clock();
     let mut engine = Explorer::with_default_threads();
     engine.attach_telemetry(&registry);
-    let config = ServerConfig {
+    let config = ReactorConfig {
         cost_deadline: args.deadline,
-        ..ServerConfig::default()
+        ..ReactorConfig::default()
     };
-    let server = Server::start(engine, config, &registry).expect("bind loopback port");
+    let server = ReactorServer::start(engine, config, &registry).expect("bind loopback port");
     println!("server listening on {}", server.addr());
     match args.deadline {
         Some(units) => println!("per-request deadline armed at {units} cost units"),

@@ -31,7 +31,7 @@ use drone_serve::protocol::{
     ReplySlot,
 };
 use drone_serve::{Client, ClientConfig, ReactorConfig, ReactorServer, Workload};
-use drone_telemetry::trace::Trace;
+use drone_telemetry::trace::{TagValue, Trace};
 use drone_telemetry::{derive_trace_id, id_hex, Clock, Json, Registry, TraceRing};
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,7 +90,7 @@ fn over_deadline_query() -> Query {
 fn trace_facts(trace: &Trace) -> Json {
     let outcome = trace
         .root_tag("outcome")
-        .and_then(Json::as_str)
+        .and_then(TagValue::as_str)
         .unwrap_or("missing")
         .to_owned();
     Json::obj()
@@ -173,7 +173,7 @@ fn deterministic_campaign() -> (Json, String) {
         spans_total += trace.span_count() as u64;
         eval_size += trace.count_named("eval.size") as u64;
         eval_power += trace.count_named("eval.power") as u64;
-        match trace.root_tag("outcome").and_then(Json::as_str) {
+        match trace.root_tag("outcome").and_then(TagValue::as_str) {
             Some("ok") => ok += 1,
             Some("internal_error") => internal += 1,
             Some("deadline_exceeded") => shed += 1,

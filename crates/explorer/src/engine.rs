@@ -157,19 +157,22 @@ impl Explorer {
         // duplicate resolution) on top of the cache's own lookups.
         let mut pending: HashMap<CacheKey, usize, BuildFnv> = HashMap::default();
         let mut work: Vec<usize> = Vec::new();
+        // Cache-served points record through one batch, flushed into the
+        // trace once the loop is done.
+        let served = parent.map(Span::batch);
         for (i, key) in keys.iter().enumerate() {
             if pending.contains_key(key) {
                 self.cache.note_coalesced_hit();
-                if let Some(parent) = parent {
-                    let mut span = parent.child("point", i as u64);
+                if let Some(served) = &served {
+                    let mut span = served.child("point", i as u64);
                     span.tag("cache", "coalesced");
                 }
                 continue;
             }
             match self.cache.get(key) {
                 Some(cached) => {
-                    if let Some(parent) = parent {
-                        let mut span = parent.child("point", i as u64);
+                    if let Some(served) = &served {
+                        let mut span = served.child("point", i as u64);
                         span.tag("cache", "hit");
                         span.tag("feasible", cached.is_ok());
                     }
@@ -181,6 +184,7 @@ impl Explorer {
                 }
             }
         }
+        drop(served);
 
         // Fresh points dispatch in per-worker *blocks*: each block
         // funnels through one batched `evaluate_many` call instead of
@@ -379,7 +383,11 @@ impl Default for Explorer {
 ///   exactly as `evaluate_traced` would have recorded them;
 /// * if a degenerate point would panic the kernel itself, the block
 ///   degrades to per-point scalar evaluation so the panic stays in its
-///   own slot with its own message.
+///   own slot with its own message;
+/// * all of the block's spans record through one [`SpanBatch`], which
+///   flushes into the trace once, when the block is done.
+///
+/// [`SpanBatch`]: drone_telemetry::SpanBatch
 fn evaluate_block(
     worker: usize,
     start: usize,
@@ -389,10 +397,18 @@ fn evaluate_block(
     hook: Option<&(dyn Fn(&DesignQuery) + Send + Sync)>,
 ) -> Vec<Result<EvalResult, TaskPanic>> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    // The block's spans record through one batch: declared before
+    // `spans`, so it drops — and flushes into the trace — after them.
+    let batch = parent.map(|p| {
+        let batch = p.batch();
+        // `point`, `eval.size` and `eval.power` per point.
+        batch.reserve(3 * block.len());
+        batch
+    });
     let mut spans: Vec<Option<Span>> = (0..block.len())
         .map(|k| {
-            parent.map(|p| {
-                let mut span = p.child("point", input_index[start + k] as u64);
+            batch.as_ref().map(|b| {
+                let mut span = b.child("point", input_index[start + k] as u64);
                 span.set_worker(worker);
                 span.tag("cache", "miss");
                 span

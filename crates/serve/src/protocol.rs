@@ -1111,6 +1111,7 @@ fn handle_batch_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drone_telemetry::TagValue;
 
     fn engine() -> Explorer {
         Explorer::new(2)
@@ -1298,7 +1299,7 @@ mod tests {
         assert_eq!(trace.count_named("explore.round"), 1);
         assert_eq!(trace.count_named("point"), 15);
         assert_eq!(trace.open_at_finish, 0);
-        assert_eq!(trace.root_tag("outcome").and_then(Json::as_str), Some("ok"));
+        assert_eq!(trace.root_tag("outcome"), Some(TagValue::Str("ok")));
     }
 
     #[test]
@@ -1327,8 +1328,8 @@ mod tests {
         let trace = &ring.last(1)[0];
         assert_eq!(trace.span_count(), 1, "shed before evaluation: root only");
         assert_eq!(
-            trace.root_tag("outcome").and_then(Json::as_str),
-            Some("deadline_exceeded")
+            trace.root_tag("outcome"),
+            Some(TagValue::Str("deadline_exceeded"))
         );
     }
 

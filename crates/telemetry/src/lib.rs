@@ -21,8 +21,9 @@
 //!   detected.
 //! * [`trace`] — causal span-tree tracing with deterministic ids: the
 //!   per-request attribution layer behind the serving stack's `trace`
-//!   introspection plane ([`TraceBuilder`], RAII [`Span`]s, the
-//!   bounded [`TraceRing`] of completed traces).
+//!   introspection plane ([`TraceBuilder`], RAII [`Span`]s and their
+//!   block-local [`SpanBatch`]es, the bounded [`TraceRing`] of
+//!   completed traces).
 //! * [`json`] — the minimal JSON document model behind every export
 //!   (the vendored `serde` is a no-op marker, so artifacts need a real
 //!   encoder; this is it).
@@ -65,6 +66,6 @@ pub use metrics::{Counter, Gauge, Histogram, SharedHistogram};
 pub use recorder::{ChannelId, DumpReason, FlightRecorder};
 pub use registry::{global, Registry, SpanGuard};
 pub use trace::{
-    derive_trace_id, derive_trace_id_bytes, id_hex, parse_id_hex, Span, SpanRecord, Trace,
-    TraceBuilder, TraceRing,
+    derive_trace_id, derive_trace_id_bytes, id_hex, parse_id_hex, Span, SpanBatch, SpanRecord,
+    TagValue, Trace, TraceBuilder, TraceRing,
 };

@@ -6,7 +6,7 @@
 //! record themselves on drop, and the finished [`Trace`] is a flat span
 //! table that renders as a tree.
 //!
-//! Two properties are load-bearing:
+//! Three properties are load-bearing:
 //!
 //! * **Deterministic IDs.** A trace id is an FNV-1a digest of the
 //!   workload seed and the request id ([`derive_trace_id`]); a span id
@@ -16,9 +16,25 @@
 //!   work therefore produces identical ids at any thread count, which
 //!   is what lets `BENCH_trace.json` be byte-compared across
 //!   `--threads 1` and `--threads 4`.
-//! * **Closed exactly once.** A span records into its trace only from
-//!   `Drop`, so unwinding (a poisoned eval panicking mid-batch) still
-//!   closes it, and it cannot be recorded twice.
+//! * **Closed exactly once.** A span records only from `Drop`, so
+//!   unwinding (a poisoned eval panicking mid-batch) still closes it,
+//!   and it cannot be recorded twice.
+//! * **Cheap enough to leave on.** The server traces every request, so
+//!   a span allocates nothing: its name is a `&'static str` and its
+//!   tags are inline `Copy` [`TagValue`]s. Hot loops open spans through
+//!   a [`SpanBatch`] ([`Span::batch`]): the batch's spans and all their
+//!   descendants record into a buffer private to the batch, which
+//!   flushes into the trace under one lock when the batch drops, with
+//!   the span capacity applied there. Spans opened straight from a
+//!   [`Span`] record into the shared trace one by one.
+//!
+//! A leaked guard (`mem::forget`) is counted in
+//! [`Trace::open_at_finish`] exactly once, batched or not. A batch
+//! counts as one open guard from creation until its flush; at the
+//! flush it hands that count over to whichever of its spans are still
+//! open, and spans that close after the flush record straight into the
+//! trace. So a guard leaked inside a batch costs nothing but its own
+//! record: its closed siblings still appear.
 //!
 //! What is deterministic: the span set, ids, names, parentage, sibling
 //! order, and tags. What is not: wall-clock `start_s`/`end_s` and the
@@ -105,9 +121,112 @@ pub fn parse_id_hex(text: &str) -> Option<u64> {
     u64::from_str_radix(text, 16).ok()
 }
 
+/// A tag value: a static string, a bool or a number. `Copy`, so
+/// tagging a span never allocates; renders to exactly the JSON the
+/// matching [`Json`] value would.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TagValue {
+    /// A static string, e.g. a cache outcome.
+    Str(&'static str),
+    /// A flag, e.g. feasibility.
+    Bool(bool),
+    /// A number; stored as `f64` like [`Json::Num`].
+    Num(f64),
+}
+
+impl TagValue {
+    /// The string, when this is one.
+    pub fn as_str(self) -> Option<&'static str> {
+        match self {
+            TagValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+impl From<&'static str> for TagValue {
+    fn from(s: &'static str) -> TagValue {
+        TagValue::Str(s)
+    }
+}
+
+impl From<bool> for TagValue {
+    fn from(b: bool) -> TagValue {
+        TagValue::Bool(b)
+    }
+}
+
+impl From<u64> for TagValue {
+    /// Lossy above 2⁵³, as [`Json`]'s own conversion is.
+    fn from(n: u64) -> TagValue {
+        TagValue::Num(n as f64)
+    }
+}
+
+impl From<usize> for TagValue {
+    fn from(n: usize) -> TagValue {
+        TagValue::Num(n as f64)
+    }
+}
+
+impl From<TagValue> for Json {
+    fn from(value: TagValue) -> Json {
+        match value {
+            TagValue::Str(s) => Json::from(s),
+            TagValue::Bool(b) => Json::Bool(b),
+            TagValue::Num(n) => Json::Num(n),
+        }
+    }
+}
+
+/// Tags a span holds inline — the most any call site sets (the root's
+/// strategy, outcome and cost). Further tags spill to the heap.
+const INLINE_TAGS: usize = 3;
+
+/// A span's tags in insertion order, stored inline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tags {
+    len: usize,
+    inline: [(&'static str, TagValue); INLINE_TAGS],
+    spill: Vec<(&'static str, TagValue)>,
+}
+
+impl Default for Tags {
+    fn default() -> Tags {
+        Tags {
+            len: 0,
+            inline: [("", TagValue::Bool(false)); INLINE_TAGS],
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl Tags {
+    fn push(&mut self, key: &'static str, value: TagValue) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = (key, value),
+            None => self.spill.push((key, value)),
+        }
+        self.len += 1;
+    }
+
+    /// The tags in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, TagValue)> + '_ {
+        self.inline[..self.len.min(INLINE_TAGS)]
+            .iter()
+            .chain(&self.spill)
+            .copied()
+    }
+
+    /// The first value tagged under `key`.
+    pub fn get(&self, key: &str) -> Option<TagValue> {
+        self.iter().find(|&(k, _)| k == key).map(|(_, v)| v)
+    }
+}
+
 /// One closed span: an interval in the request's lifetime with a name,
 /// a deterministic position in the tree, and deterministic tags.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanRecord {
     /// Deterministic id ([`derive_trace_id`]-style digest).
     pub span_id: u64,
@@ -117,10 +236,10 @@ pub struct SpanRecord {
     /// children of one parent.
     pub order: u64,
     /// Stage name, e.g. `serve.request`, `explore.round`, `eval.power`.
-    pub name: String,
+    pub name: &'static str,
     /// Deterministic annotations in insertion order (cache outcome,
     /// feasibility, cost units, …).
-    pub tags: Vec<(String, Json)>,
+    pub tags: Tags,
     /// Work-stealing worker the span ran on. Scheduling-dependent:
     /// excluded from the deterministic rendering.
     pub worker: Option<usize>,
@@ -130,31 +249,114 @@ pub struct SpanRecord {
     pub end_s: f64,
 }
 
-struct TraceState {
-    spans: Vec<SpanRecord>,
-}
-
 struct TraceCore {
     trace_id: u64,
     clock: Clock,
     capacity: usize,
-    state: Mutex<TraceState>,
+    spans: Mutex<Vec<SpanRecord>>,
     open: AtomicU64,
     dropped: AtomicU64,
 }
 
 impl TraceCore {
-    fn lock(&self) -> MutexGuard<'_, TraceState> {
+    fn lock(&self) -> MutexGuard<'_, Vec<SpanRecord>> {
+        self.spans.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Keeps records while the trace has room and counts the rest as
+    /// dropped, all under one lock.
+    fn record(&self, records: impl IntoIterator<Item = SpanRecord>) {
+        let mut spans = self.lock();
+        let mut dropped = 0;
+        for record in records {
+            if spans.len() < self.capacity {
+                spans.push(record);
+            } else {
+                dropped += 1;
+            }
+        }
+        if dropped > 0 {
+            self.dropped.fetch_add(dropped, Ordering::Relaxed);
+        }
+    }
+}
+
+struct BatchState {
+    records: Vec<SpanRecord>,
+    /// This batch's spans opened and not yet closed.
+    open: u64,
+    flushed: bool,
+}
+
+/// The buffer behind a [`SpanBatch`]: touched only by the threads that
+/// hold the batch's spans (in practice one executor worker), never by
+/// the trace's other writers.
+struct BatchCore {
+    trace: Arc<TraceCore>,
+    state: Mutex<BatchState>,
+}
+
+impl BatchCore {
+    fn lock(&self) -> MutexGuard<'_, BatchState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn record(&self, record: SpanRecord) {
+    /// Moves the buffered records into the trace and hands the batch's
+    /// own open guard over to its still-open spans. Runs under the
+    /// batch lock, so a span closing concurrently either lands in the
+    /// buffer first or sees `flushed` and records straight into the
+    /// trace.
+    fn flush(&self) {
         let mut state = self.lock();
-        if state.spans.len() < self.capacity {
-            state.spans.push(record);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        state.flushed = true;
+        self.trace.record(std::mem::take(&mut state.records));
+        match state.open {
+            0 => self.trace.open.fetch_sub(1, Ordering::AcqRel),
+            open => self.trace.open.fetch_add(open - 1, Ordering::AcqRel),
+        };
+    }
+}
+
+/// Where a span records when it closes.
+#[derive(Clone)]
+enum Sink {
+    /// Straight into the shared trace, one lock per span.
+    Trace(Arc<TraceCore>),
+    /// Into a batch's private buffer until the batch flushes.
+    Batch(Arc<BatchCore>),
+}
+
+impl Sink {
+    fn trace(&self) -> &Arc<TraceCore> {
+        match self {
+            Sink::Trace(trace) => trace,
+            Sink::Batch(batch) => &batch.trace,
         }
+    }
+
+    fn open(&self) {
+        if let Sink::Batch(batch) = self {
+            let mut state = batch.lock();
+            if !state.flushed {
+                state.open += 1;
+                return;
+            }
+        }
+        self.trace().open.fetch_add(1, Ordering::AcqRel);
+    }
+
+    fn close(&self, record: SpanRecord) {
+        if let Sink::Batch(batch) = self {
+            let mut state = batch.lock();
+            if !state.flushed {
+                state.records.push(record);
+                state.open -= 1;
+                return;
+            }
+        }
+        let trace = self.trace();
+        trace.record(std::iter::once(record));
+        trace.open.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -180,7 +382,7 @@ impl TraceBuilder {
                 trace_id,
                 clock,
                 capacity,
-                state: Mutex::new(TraceState { spans: Vec::new() }),
+                spans: Mutex::new(Vec::new()),
                 open: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
             }),
@@ -193,25 +395,34 @@ impl TraceBuilder {
     }
 
     /// Opens the root span (parent 0, order 0).
-    pub fn root(&self, name: &str) -> Span {
-        Span::open(Arc::clone(&self.core), 0, name, 0)
+    pub fn root(&self, name: &'static str) -> Span {
+        Span::open(Sink::Trace(Arc::clone(&self.core)), 0, name, 0)
     }
 
-    /// Spans currently open (created and not yet dropped).
+    /// Open guards: spans created and not yet dropped, plus batches
+    /// not yet flushed (each counts as one until it hands over).
     pub fn open_spans(&self) -> u64 {
         self.core.open.load(Ordering::Acquire)
     }
 
-    /// Closes the trace. Spans are sorted by span id — a deterministic
-    /// order independent of which worker finished first. Spans still
-    /// open at this point are *leaked guards*; they are counted in
+    /// Closes the trace. Spans are sorted on the total key
+    /// `(span_id, parent_id, order, name)` — a deterministic order
+    /// independent of which worker or batch finished first. Guards
+    /// still open at this point are *leaked*; they are counted in
     /// [`Trace::open_at_finish`] and never appear in the span table.
     pub fn finish(self) -> Trace {
-        let mut spans = {
-            let mut state = self.core.lock();
-            std::mem::take(&mut state.spans)
-        };
-        spans.sort_by_key(|s| s.span_id);
+        let mut spans = std::mem::take(&mut *self.core.lock());
+        // Sort thin keys, then move each record once into place.
+        let mut keys: Vec<(u64, u64, u64, &'static str, usize)> = spans
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.span_id, s.parent_id, s.order, s.name, i))
+            .collect();
+        keys.sort_unstable();
+        let spans = keys
+            .iter()
+            .map(|&(.., i)| std::mem::take(&mut spans[i]))
+            .collect();
         Trace {
             trace_id: self.core.trace_id,
             spans,
@@ -221,82 +432,125 @@ impl TraceBuilder {
     }
 }
 
-/// An open span: an RAII guard that records itself into the trace on
-/// drop — exactly once, even when unwinding from a panic.
+/// An open span: an RAII guard that records itself on drop — exactly
+/// once, even when unwinding from a panic.
 #[must_use = "a span records on drop; binding it to _ closes it immediately"]
 pub struct Span {
-    core: Arc<TraceCore>,
-    span_id: u64,
-    parent_id: u64,
-    order: u64,
-    name: String,
-    tags: Vec<(String, Json)>,
-    worker: Option<usize>,
-    start_s: f64,
+    sink: Sink,
+    /// The record under construction; `end_s` is stamped on drop.
+    record: SpanRecord,
 }
 
 impl Span {
-    fn open(core: Arc<TraceCore>, parent_id: u64, name: &str, order: u64) -> Span {
-        let span_id = derive_span_id(core.trace_id, parent_id, name, order);
-        let start_s = core.clock.now();
-        core.open.fetch_add(1, Ordering::AcqRel);
+    fn open(sink: Sink, parent_id: u64, name: &'static str, order: u64) -> Span {
+        let trace = sink.trace();
+        let span_id = derive_span_id(trace.trace_id, parent_id, name, order);
+        let start_s = trace.clock.now();
+        sink.open();
         Span {
-            core,
-            span_id,
-            parent_id,
-            order,
-            name: name.to_owned(),
-            tags: Vec::new(),
-            worker: None,
-            start_s,
+            sink,
+            record: SpanRecord {
+                span_id,
+                parent_id,
+                order,
+                name,
+                start_s,
+                ..SpanRecord::default()
+            },
         }
     }
 
     /// This span's deterministic id.
     pub fn span_id(&self) -> u64 {
-        self.span_id
+        self.record.span_id
     }
 
     /// The id of the trace this span belongs to.
     pub fn trace_id(&self) -> u64 {
-        self.core.trace_id
+        self.sink.trace().trace_id
     }
 
     /// Opens a child span. `order` is the child's structural index
     /// under this parent (round number, point index, …) and is part of
     /// its id — two children of one parent must not share
-    /// `(name, order)`.
-    pub fn child(&self, name: &str, order: u64) -> Span {
-        Span::open(Arc::clone(&self.core), self.span_id, name, order)
+    /// `(name, order)`. A span opened from a batch passes the batch on
+    /// to its children.
+    pub fn child(&self, name: &'static str, order: u64) -> Span {
+        Span::open(self.sink.clone(), self.record.span_id, name, order)
+    }
+
+    /// Opens a batch whose children are children of this span, exactly
+    /// as [`Span::child`] would open them, but record into a buffer
+    /// private to the batch until it drops (see the module docs).
+    pub fn batch(&self) -> SpanBatch {
+        let trace = Arc::clone(self.sink.trace());
+        trace.open.fetch_add(1, Ordering::AcqRel);
+        SpanBatch {
+            core: Arc::new(BatchCore {
+                trace,
+                state: Mutex::new(BatchState {
+                    records: Vec::new(),
+                    open: 0,
+                    flushed: false,
+                }),
+            }),
+            parent_id: self.record.span_id,
+        }
     }
 
     /// Attaches a deterministic annotation. Insertion order is
     /// preserved in the rendering, so tag in a deterministic order.
-    pub fn tag(&mut self, key: &str, value: impl Into<Json>) {
-        self.tags.push((key.to_owned(), value.into()));
+    pub fn tag(&mut self, key: &'static str, value: impl Into<TagValue>) {
+        self.record.tags.push(key, value.into());
     }
 
     /// Notes which executor worker ran this span. Scheduling-dependent:
     /// kept out of the deterministic rendering.
     pub fn set_worker(&mut self, worker: usize) {
-        self.worker = Some(worker);
+        self.record.worker = Some(worker);
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let record = SpanRecord {
-            span_id: self.span_id,
-            parent_id: self.parent_id,
-            order: self.order,
-            name: std::mem::take(&mut self.name),
-            tags: std::mem::take(&mut self.tags),
-            worker: self.worker,
-            start_s: self.start_s,
-            end_s: self.core.clock.now(),
-        };
-        self.core.record(record);
-        self.core.open.fetch_sub(1, Ordering::AcqRel);
+        let mut record = std::mem::take(&mut self.record);
+        record.end_s = self.sink.trace().clock.now();
+        self.sink.close(record);
+    }
+}
+
+/// A block of sibling spans that record without touching the shared
+/// trace: opened by [`Span::batch`], flushed into the trace under one
+/// lock when dropped (also when unwinding). Drop it after the spans it
+/// opened, or their records bypass the buffer one lock at a time.
+#[must_use = "a batch flushes on drop; binding it to _ flushes it immediately"]
+pub struct SpanBatch {
+    core: Arc<BatchCore>,
+    parent_id: u64,
+}
+
+impl SpanBatch {
+    /// Opens a child of the span this batch came from; see
+    /// [`Span::child`] for `order`.
+    pub fn child(&self, name: &'static str, order: u64) -> Span {
+        Span::open(
+            Sink::Batch(Arc::clone(&self.core)),
+            self.parent_id,
+            name,
+            order,
+        )
+    }
+
+    /// Sizes the buffer for `spans` more records, so a block whose span
+    /// count is known up front grows it once.
+    pub fn reserve(&self, spans: usize) {
+        self.core.lock().records.reserve(spans);
+    }
+}
+
+impl Drop for SpanBatch {
+    fn drop(&mut self) {
+        self.core.flush();
     }
 }
 
@@ -307,13 +561,71 @@ impl Drop for Span {
 pub struct Trace {
     /// The deterministic request-derived id.
     pub trace_id: u64,
-    /// Every recorded span, sorted by span id.
+    /// Every recorded span, sorted by `(span_id, parent_id, order,
+    /// name)`.
     pub spans: Vec<SpanRecord>,
     /// Spans discarded because the trace hit its capacity.
     pub dropped_spans: u64,
     /// Guards still open when `finish()` ran — always 0 in a
     /// well-formed trace.
     pub open_at_finish: u64,
+}
+
+/// The span table indexed by parent, built once per walk of the tree.
+struct Tree<'a> {
+    /// Every span, ordered by `(parent_id, order, span_id)`; ties keep
+    /// table order.
+    by_parent: Vec<&'a SpanRecord>,
+}
+
+impl<'a> Tree<'a> {
+    fn new(trace: &'a Trace) -> Tree<'a> {
+        let mut by_parent: Vec<&SpanRecord> = trace.spans.iter().collect();
+        by_parent.sort_by_key(|s| (s.parent_id, s.order, s.span_id));
+        Tree { by_parent }
+    }
+
+    /// The children of `span_id`, in rendering order.
+    fn children(&self, span_id: u64) -> &[&'a SpanRecord] {
+        let lo = self.by_parent.partition_point(|s| s.parent_id < span_id);
+        let len = self.by_parent[lo..].partition_point(|s| s.parent_id == span_id);
+        &self.by_parent[lo..lo + len]
+    }
+
+    fn depth(&self, span: &SpanRecord) -> usize {
+        1 + self
+            .children(span.span_id)
+            .iter()
+            .map(|child| self.depth(child))
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn node_json(&self, span: &SpanRecord, scheduling: bool) -> Json {
+        let mut tags = Json::obj();
+        for (key, value) in span.tags.iter() {
+            tags.insert(key, value);
+        }
+        let mut node = Json::obj()
+            .with("span", id_hex(span.span_id))
+            .with("name", span.name)
+            .with("order", span.order)
+            .with("tags", tags);
+        if scheduling {
+            if let Some(worker) = span.worker {
+                node.insert("worker", worker);
+            }
+            node.insert("start_s", span.start_s);
+            node.insert("end_s", span.end_s);
+            node.insert("elapsed_s", span.end_s - span.start_s);
+        }
+        let mut arr = Json::arr();
+        for child in self.children(span.span_id) {
+            arr.push(self.node_json(child, scheduling));
+        }
+        node.insert("children", arr);
+        node
+    }
 }
 
 impl Trace {
@@ -324,23 +636,15 @@ impl Trace {
 
     /// Depth of the rendered tree (root = 1; empty trace = 0).
     pub fn depth(&self) -> usize {
-        fn node_depth(trace: &Trace, span_id: u64) -> usize {
-            1 + trace
-                .spans
-                .iter()
-                .filter(|s| s.parent_id == span_id)
-                .map(|s| node_depth(trace, s.span_id))
-                .max()
-                .unwrap_or(0)
-        }
+        let tree = Tree::new(self);
         self.roots()
             .into_iter()
-            .map(|root| node_depth(self, root.span_id))
+            .map(|root| tree.depth(root))
             .max()
             .unwrap_or(0)
     }
 
-    /// Spans tagged `key == value` (string compare on rendered tags).
+    /// Spans tagged `key == value` (string tags only).
     pub fn count_tagged(&self, key: &str, value: &str) -> usize {
         self.spans
             .iter()
@@ -357,62 +661,30 @@ impl Trace {
         self.spans.iter().filter(|s| s.name == name).count()
     }
 
-    /// The first tag value on the root span with this key, rendered as
-    /// a string when it is one.
-    pub fn root_tag<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        self.roots()
-            .first()
-            .and_then(|root| root.tags.iter().find(|(k, _)| k == key).map(|(_, v)| v))
+    /// The first tag value on the root span with this key.
+    pub fn root_tag(&self, key: &str) -> Option<TagValue> {
+        self.roots().first().and_then(|root| root.tags.get(key))
     }
 
     fn roots(&self) -> Vec<&SpanRecord> {
         // Roots proper, plus orphans whose parent was dropped over
         // capacity — rendered at top level rather than lost.
+        let mut ids: Vec<u64> = self.spans.iter().map(|s| s.span_id).collect();
+        ids.sort_unstable();
         let mut roots: Vec<&SpanRecord> = self
             .spans
             .iter()
-            .filter(|s| s.parent_id == 0 || !self.spans.iter().any(|p| p.span_id == s.parent_id))
+            .filter(|s| s.parent_id == 0 || ids.binary_search(&s.parent_id).is_err())
             .collect();
         roots.sort_by_key(|s| (s.order, s.span_id));
         roots
     }
 
-    fn node_json(&self, span: &SpanRecord, scheduling: bool) -> Json {
-        let mut tags = Json::obj();
-        for (key, value) in &span.tags {
-            tags.insert(key, value.clone());
-        }
-        let mut node = Json::obj()
-            .with("span", id_hex(span.span_id))
-            .with("name", span.name.as_str())
-            .with("order", span.order)
-            .with("tags", tags);
-        if scheduling {
-            if let Some(worker) = span.worker {
-                node.insert("worker", worker);
-            }
-            node.insert("start_s", span.start_s);
-            node.insert("end_s", span.end_s);
-            node.insert("elapsed_s", span.end_s - span.start_s);
-        }
-        let mut children: Vec<&SpanRecord> = self
-            .spans
-            .iter()
-            .filter(|s| s.parent_id == span.span_id)
-            .collect();
-        children.sort_by_key(|s| (s.order, s.span_id));
-        let mut arr = Json::arr();
-        for child in children {
-            arr.push(self.node_json(child, scheduling));
-        }
-        node.insert("children", arr);
-        node
-    }
-
     fn tree_json(&self, scheduling: bool) -> Json {
+        let tree = Tree::new(self);
         let mut roots = Json::arr();
         for root in self.roots() {
-            roots.push(self.node_json(root, scheduling));
+            roots.push(tree.node_json(root, scheduling));
         }
         Json::obj()
             .with("trace_id", id_hex(self.trace_id))
@@ -650,6 +922,112 @@ mod tests {
         assert_eq!(trace.span_count(), 2);
         assert_eq!(trace.dropped_spans, 3); // 2 children + the root
         assert_eq!(trace.open_at_finish, 0);
+    }
+
+    #[test]
+    fn spans_outliving_their_batch_record_straight_into_the_trace() {
+        let builder = sim_builder(8);
+        {
+            let root = builder.root("r");
+            let batch = root.batch();
+            let early = batch.child("p", 0);
+            let late = batch.child("p", 1);
+            drop(early);
+            assert_eq!(builder.open_spans(), 2, "root + the batch's guard");
+            drop(batch);
+            assert_eq!(builder.open_spans(), 2, "root + `late`, handed over");
+            let _leaf = late.child("leaf", 0);
+            assert_eq!(builder.open_spans(), 3);
+        }
+        let trace = builder.finish();
+        assert_eq!(trace.span_count(), 4);
+        assert_eq!(trace.open_at_finish, 0);
+        assert_eq!(trace.depth(), 3);
+    }
+
+    /// The renderer before the children index: scans the whole table
+    /// for every node. The indexed one must match it byte for byte.
+    fn scanning_json(trace: &Trace, scheduling: bool) -> Json {
+        fn sorted(mut spans: Vec<&SpanRecord>) -> Vec<&SpanRecord> {
+            spans.sort_by_key(|s| (s.order, s.span_id));
+            spans
+        }
+        fn node_of(trace: &Trace, span: &SpanRecord, scheduling: bool) -> Json {
+            let mut tags = Json::obj();
+            for (key, value) in span.tags.iter() {
+                tags.insert(key, value);
+            }
+            let mut node = Json::obj()
+                .with("span", id_hex(span.span_id))
+                .with("name", span.name)
+                .with("order", span.order)
+                .with("tags", tags);
+            if scheduling {
+                if let Some(worker) = span.worker {
+                    node.insert("worker", worker);
+                }
+                node.insert("start_s", span.start_s);
+                node.insert("end_s", span.end_s);
+                node.insert("elapsed_s", span.end_s - span.start_s);
+            }
+            let children = trace.spans.iter().filter(|s| s.parent_id == span.span_id);
+            let mut arr = Json::arr();
+            for child in sorted(children.collect()) {
+                arr.push(node_of(trace, child, scheduling));
+            }
+            node.insert("children", arr);
+            node
+        }
+        let roots = trace
+            .spans
+            .iter()
+            .filter(|s| s.parent_id == 0 || !trace.spans.iter().any(|p| p.span_id == s.parent_id));
+        let mut arr = Json::arr();
+        for root in sorted(roots.collect()) {
+            arr.push(node_of(trace, root, scheduling));
+        }
+        Json::obj()
+            .with("trace_id", id_hex(trace.trace_id))
+            .with("spans", trace.span_count())
+            .with("dropped_spans", trace.dropped_spans)
+            .with("open_at_finish", trace.open_at_finish)
+            .with("tree", arr)
+    }
+
+    #[test]
+    fn indexed_rendering_matches_the_scanning_renderer() {
+        // A capacity cut leaves orphans; batches, workers, tags and the
+        // sim clock exercise every rendered field.
+        let clock = Clock::sim();
+        let builder = TraceBuilder::with_capacity(21, clock.clone(), 24);
+        {
+            let mut root = builder.root("serve.request");
+            for round in 0..3u64 {
+                let mut round_span = root.child("explore.round", round);
+                round_span.tag("points", 6u64);
+                let batch = round_span.batch();
+                for point in (0..6u64).rev() {
+                    let mut span = batch.child("point", point);
+                    span.set_worker(point as usize % 2);
+                    span.tag("cache", if point % 3 == 0 { "hit" } else { "miss" });
+                    clock.advance(0.125);
+                    if point % 2 == 0 {
+                        let mut leaf = span.child("eval.size", 0);
+                        leaf.tag("feasible", point % 4 == 0);
+                    }
+                }
+            }
+            root.tag("outcome", "ok");
+        }
+        let trace = builder.finish();
+        assert!(trace.dropped_spans > 0, "the cut must orphan some spans");
+        for scheduling in [false, true] {
+            assert_eq!(
+                trace.tree_json(scheduling).render(),
+                scanning_json(&trace, scheduling).render()
+            );
+        }
+        assert_eq!(trace.depth(), 3);
     }
 
     #[test]

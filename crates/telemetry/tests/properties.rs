@@ -1,7 +1,8 @@
 //! Property-based tests for the telemetry primitives: histogram
 //! quantile laws, flight-recorder ring-buffer eviction and dump
 //! integrity, span nesting under the sim clock, JSON scanner
-//! robustness under hostile bytes, and causal-trace well-formedness.
+//! robustness under hostile bytes, and causal-trace well-formedness,
+//! batched or not.
 
 use drone_telemetry::{
     derive_trace_id, Clock, DumpReason, FlightRecorder, Histogram, Json, Registry, TraceBuilder,
@@ -207,6 +208,106 @@ proptest! {
             builder.finish().deterministic_json().render()
         };
         prop_assert_eq!(build(false), build(true));
+    }
+
+    /// Batching changes where spans buffer, never what is recorded: a
+    /// random tree opened through `Span::child` and through
+    /// `SpanBatch::child` (each round's points in one batch, their leaf
+    /// children inheriting it) renders byte-identically.
+    #[test]
+    fn batched_spans_record_the_same_tree(
+        seed in 0u64..1000,
+        fanout in prop::collection::vec(0usize..6, 1..5),
+        leaves in prop::collection::vec(0u64..3, 6..7),
+    ) {
+        let build = |batched: bool| {
+            let builder = TraceBuilder::new(derive_trace_id(seed, 1), Clock::sim());
+            {
+                let root = builder.root("serve.request");
+                for (round, &points) in fanout.iter().enumerate() {
+                    let mut round_span = root.child("explore.round", round as u64);
+                    round_span.tag("points", points);
+                    let batch = batched.then(|| round_span.batch());
+                    for (point, &leaf_count) in leaves.iter().enumerate().take(points) {
+                        let mut span = match &batch {
+                            Some(batch) => batch.child("point", point as u64),
+                            None => round_span.child("point", point as u64),
+                        };
+                        span.tag("cache", "miss");
+                        for leaf in 0..leaf_count {
+                            let mut leaf_span = span.child("eval.size", leaf);
+                            leaf_span.tag("feasible", leaf % 2 == 0);
+                        }
+                        span.tag("feasible", true);
+                    }
+                }
+            }
+            let open = builder.open_spans();
+            let trace = builder.finish();
+            let json = trace.deterministic_json().render();
+            (open, trace.span_count(), trace.open_at_finish, trace.dropped_spans, json)
+        };
+        let plain = build(false);
+        prop_assert_eq!(plain.0, 0, "every span closed");
+        prop_assert_eq!(&plain, &build(true));
+    }
+
+    /// A guard leaked inside a batch is counted once, and the batch
+    /// still flushes every sibling that did close.
+    #[test]
+    fn a_guard_leaked_in_a_batch_counts_once(points in 1usize..12, leaked in 0usize..12) {
+        let leaked = leaked % points;
+        let builder = TraceBuilder::new(derive_trace_id(3, 1), Clock::sim());
+        {
+            let root = builder.root("serve.request");
+            let batch = root.batch();
+            for point in 0..points {
+                let mut span = batch.child("point", point as u64);
+                let _leaf = span.child("eval.size", 0);
+                span.tag("cache", "miss");
+                if point == leaked {
+                    std::mem::forget(span);
+                }
+            }
+        }
+        let trace = builder.finish();
+        prop_assert_eq!(trace.open_at_finish, 1);
+        prop_assert_eq!(trace.dropped_spans, 0);
+        // The root, every point but the leaked one, and every leaf.
+        prop_assert_eq!(trace.span_count(), 1 + (points - 1) + points);
+        for point in 0..points {
+            let present = trace
+                .spans
+                .iter()
+                .any(|s| s.name == "point" && s.order == point as u64);
+            prop_assert_eq!(present, point != leaked, "point {}", point);
+        }
+    }
+
+    /// Capacity applies at the batch's flush, and every span past it is
+    /// counted: recorded + dropped = opened, whichever path they took.
+    #[test]
+    fn overflow_through_a_batch_counts_every_drop(
+        capacity in 0usize..16,
+        direct in 0usize..8,
+        batched in 0usize..24,
+    ) {
+        let builder = TraceBuilder::with_capacity(5, Clock::sim(), capacity);
+        {
+            let root = builder.root("serve.request");
+            for i in 0..direct {
+                let _ = root.child("direct", i as u64);
+            }
+            let batch = root.batch();
+            for i in 0..batched {
+                let _ = batch.child("batched", i as u64);
+            }
+        }
+        let opened = 1 + direct + batched;
+        let trace = builder.finish();
+        prop_assert_eq!(trace.span_count(), opened.min(capacity));
+        prop_assert_eq!(trace.dropped_spans as usize, opened - opened.min(capacity));
+        prop_assert_eq!(trace.open_at_finish, 0);
     }
 
     #[test]

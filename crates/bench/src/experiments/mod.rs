@@ -200,7 +200,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ),
         e(
             "serve_scale",
-            "epoll reactor + sharded scatter/gather: capacity, shard-invariant replies",
+            "epoll reactor + in-process shards: capacity, single-engine replies",
             serve_scale,
         ),
         e(

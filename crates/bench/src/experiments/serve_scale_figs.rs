@@ -1,5 +1,5 @@
 //! The `serve_scale` experiment: the epoll reactor front-end and the
-//! sharded scatter/gather router under load.
+//! sharded router under load.
 //!
 //! Three phases:
 //!
@@ -10,12 +10,13 @@
 //!    no-busy-polling invariant: with connections held open but idle,
 //!    the reactors' `epoll_wait` counter must not move over the
 //!    observation window.
-//! 2. **Router sweep** — a scatter/gather [`Router`] at each shard
-//!    count, with seeded clients running sequential request/reply
-//!    rounds. The FNV digest of the sorted replies must be identical
-//!    at every shard count (the gather merge is input-ordered and the
-//!    quantized-FNV partition is exact), so the artifact pins one
-//!    digest for all counts.
+//! 2. **Router sweep** — a [`Router`] at each shard count, with seeded
+//!    clients running sequential request/reply rounds. The FNV digest
+//!    of the sorted replies must be identical at every shard count and
+//!    equal to the digest of the same request stream answered by
+//!    [`protocol::handle_batch`] on one engine: sharding partitions
+//!    only the evaluation step inside the engine's round loop, so the
+//!    artifact pins one digest for all counts.
 //! 3. **Wall-clock measurement** — per-request latency quantiles and
 //!    throughput per shard count. These are scheduling-dependent and
 //!    live only under the `measured` key (CI strips it, together with
@@ -26,7 +27,9 @@ use crate::experiments::serve_figs::{fnv_digest, wait_until};
 use crate::experiments::Report;
 use crate::table::{f, Table};
 use drone_explorer::Explorer;
-use drone_serve::{ReactorConfig, ReactorServer, Router, RouterConfig, RouterStats, Workload};
+use drone_serve::{
+    protocol, DrainStats, ReactorConfig, ReactorServer, Router, RouterConfig, Workload,
+};
 use drone_telemetry::{Histogram, Json, Registry};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -110,7 +113,7 @@ fn hold_and_count(addr: SocketAddr, seed: u64) -> (Vec<TcpStream>, usize) {
 struct CapacityDrill {
     concurrent: usize,
     idle_wakeups: u64,
-    drain: drone_serve::DrainStats,
+    drain: DrainStats,
 }
 
 /// Runs the held-connection drill: every connection multiplexed onto
@@ -151,11 +154,11 @@ struct RouterRun {
     requests: u64,
     errors: u64,
     protocol_errors: u64,
-    stats: RouterStats,
+    stats: DrainStats,
 }
 
-/// One router sweep leg: a scatter/gather router over `shards` engine
-/// shards, driven by [`CLIENTS`] sequential request/reply clients.
+/// One router sweep leg: a router over `shards` engines, driven by
+/// [`CLIENTS`] sequential request/reply clients.
 fn router_run(shards: usize) -> RouterRun {
     let registry = Registry::with_wall_clock();
     let config = RouterConfig {
@@ -221,6 +224,23 @@ fn router_run(shards: usize) -> RouterRun {
     }
 }
 
+/// The router sweep's request stream answered by one engine through
+/// the pure batch handler: the reference the router must match.
+fn direct_replies() -> Vec<String> {
+    let engine = Explorer::with_default_threads();
+    let limits = ReactorConfig::default().limits;
+    let mut replies = Vec::new();
+    for client in 0..CLIENTS {
+        let mut workload = Workload::new(SEED + 2, client);
+        let lines: Vec<String> = (0..REQUESTS_PER_CLIENT)
+            .map(|_| workload.next_request_line())
+            .collect();
+        let lines: Vec<&str> = lines.iter().map(|l| l.trim_end()).collect();
+        replies.extend(protocol::handle_batch(&engine, &lines, &limits).0);
+    }
+    replies
+}
+
 /// Runs the capacity drill and the shard sweep; reports deterministic
 /// capacity/parity numbers plus wall-clock throughput under `measured`.
 pub fn serve_scale() -> Report {
@@ -253,9 +273,14 @@ pub fn serve_scale() -> Report {
         }
     }
     let digest = digest.expect("at least one shard count");
+    let direct_digest = fnv_digest(&mut direct_replies());
+    assert_eq!(
+        digest, direct_digest,
+        "router replies must equal one engine's, byte for byte"
+    );
 
     let mut out = format!(
-        "serve at scale — epoll reactor + sharded scatter/gather\n\n\
+        "serve at scale — epoll reactor + in-process shards\n\n\
          capacity drill: {HELD_CONNECTIONS} held connections; reactor ({REACTORS} reactors) \
          sustained {}\n\
          idle reactors over {} ms: {} epoll wakeups\n\n",
@@ -289,7 +314,7 @@ pub fn serve_scale() -> Report {
     }
     out.push_str(&table.render());
     out.push_str(&format!(
-        "\nreply digest (shard-count invariant): {digest}\n"
+        "\nreply digest (shard-count invariant, equals one engine's): {digest}\n"
     ));
 
     let metrics = Json::obj()
@@ -322,7 +347,8 @@ pub fn serve_scale() -> Report {
                 .with("requests_per_count", expected)
                 .with("errors", 0u64)
                 .with("protocol_errors", 0u64)
-                .with("reply_digest", digest),
+                .with("reply_digest", digest)
+                .with("direct_digest", direct_digest),
         )
         .with(
             "sharding",
@@ -339,7 +365,6 @@ pub fn serve_scale() -> Report {
                                 Json::obj()
                                     .with("shards", run.shards)
                                     .with("threads_joined", run.stats.threads_joined)
-                                    .with("shard_threads_joined", run.stats.shard_threads_joined)
                                     .with("clean", run.stats.clean)
                             })
                             .collect(),

@@ -74,12 +74,12 @@ impl CacheKey {
     }
 }
 
-/// The process-level shard a design point routes to: FNV-1a over the
+/// The engine shard a design point routes to: FNV-1a over the
 /// quantized lattice key, modulo `count`. This is the memo cache's
-/// in-process shard scheme lifted to server level — the router uses it
-/// to partition a query's grid across `count` shard servers, and
-/// because it hashes the *quantized* coordinates, every point a shard
-/// evaluates also lands in that shard's own cache partition.
+/// lock-shard scheme lifted to engine level — [`crate::try_run_sharded`]
+/// uses it to partition each round's points across `count` engines,
+/// and because it hashes the *quantized* coordinates, every point an
+/// engine evaluates also lands in that engine's own cache partition.
 pub fn shard_of(query: &DesignQuery, count: u32) -> u32 {
     (CacheKey::quantize(query).fnv() % u64::from(count.max(1))) as u32
 }

@@ -8,8 +8,11 @@
 //! dispatch, so the hit/miss counters — and therefore the exported
 //! artifacts — are identical at any thread count: cache state only ever
 //! changes between rounds, on the coordinating thread, in point order.
+//!
+//! [`try_run_sharded`] runs the same round loop over N engines, each
+//! evaluating its [`shard_of`] partition of every round's points.
 
-use crate::cache::{CacheKey, EvalCache};
+use crate::cache::{shard_of, CacheKey, EvalCache};
 use crate::executor::{panic_message, ParallelExecutor, TaskPanic};
 use crate::pareto::ParetoFrontier;
 use crate::query::{Query, QueryAnswer};
@@ -150,6 +153,17 @@ impl Explorer {
         points: &[DesignQuery],
         parent: Option<&Span>,
     ) -> Result<Vec<EvalResult>, TaskPanic> {
+        self.evaluate_points_indexed(points, parent)
+            .map_err(|(_, caught)| caught)
+    }
+
+    /// [`Explorer::try_evaluate_points_spanned`], reporting a panic
+    /// with the input index of the point that raised it.
+    fn evaluate_points_indexed(
+        &self,
+        points: &[DesignQuery],
+        parent: Option<&Span>,
+    ) -> Result<Vec<EvalResult>, (usize, TaskPanic)> {
         let keys: Vec<CacheKey> = points.iter().map(CacheKey::quantize).collect();
         let mut resolved: Vec<Option<EvalResult>> = vec![None; points.len()];
         // Unique uncached keys → the index of their first occurrence.
@@ -200,7 +214,7 @@ impl Explorer {
             .try_map_blocked(&queries, |worker, start, block| {
                 evaluate_block(worker, start, block, work_ref, parent, hook)
             });
-        let mut first_panic: Option<TaskPanic> = None;
+        let mut first_panic: Option<(usize, TaskPanic)> = None;
         for (&i, result) in work.iter().zip(fresh) {
             match result {
                 Ok(result) => {
@@ -209,13 +223,13 @@ impl Explorer {
                 }
                 Err(caught) => {
                     if first_panic.is_none() {
-                        first_panic = Some(caught);
+                        first_panic = Some((i, caught));
                     }
                 }
             }
         }
-        if let Some(caught) = first_panic {
-            return Err(caught);
+        if let Some(first) = first_panic {
+            return Err(first);
         }
 
         // Duplicates of a pending key were left unresolved: serve them
@@ -266,73 +280,26 @@ impl Explorer {
         query: &Query,
         parent: Option<&Span>,
     ) -> Result<QueryAnswer, TaskPanic> {
+        self.timed(|| {
+            run_rounds(query, parent, |grid, span| {
+                self.try_evaluate_points_spanned(grid, span)
+            })
+        })
+    }
+
+    /// Runs `answer` and, with telemetry attached, records its latency
+    /// and point count. A query that panicked records nothing.
+    fn timed(
+        &self,
+        answer: impl FnOnce() -> Result<QueryAnswer, TaskPanic>,
+    ) -> Result<QueryAnswer, TaskPanic> {
         let started = self.telemetry.as_ref().map(|t| t.clock.now());
-
-        let mut feasible: Vec<DesignEval> = Vec::new();
-        let mut evaluated = 0usize;
-        let mut infeasible = 0usize;
-        let mut rounds = 0usize;
-        let mut ranges = query.ranges.clone();
-        // Refinement rounds revisit the incumbent's neighbourhood; each
-        // unique design enters the feasible pool (and so the frontier)
-        // once, however many rounds touch it.
-        let mut seen: HashSet<CacheKey, BuildFnv> = HashSet::default();
-
-        for round in 0..=query.refine_rounds {
-            if round > 0 {
-                // Refinement needs an incumbent to centre on.
-                let Some(best) = self.best_of(query, &feasible) else {
-                    break;
-                };
-                ranges = query.ranges.refined_around(&best.query, query.refine_steps);
-            }
-            let mut grid = ranges.grid();
-            if let Some(shard) = query.shard {
-                // Scatter path: keep only this process-level partition.
-                // The filter runs before `evaluated +=`, so per-shard
-                // counts sum exactly to the unsharded grid size.
-                grid.retain(|point| crate::cache::shard_of(point, shard.count) == shard.index);
-            }
-            evaluated += grid.len();
-            let round_span = parent.map(|p| {
-                let mut span = p.child("explore.round", round as u64);
-                span.tag("round", round as u64);
-                span.tag("points", grid.len());
-                span
-            });
-            let results = self.try_evaluate_points_spanned(&grid, round_span.as_ref())?;
-            for (point, result) in grid.iter().zip(results) {
-                if !seen.insert(CacheKey::quantize(point)) {
-                    continue;
-                }
-                match result {
-                    Ok(eval) if query.constraints.admits(&eval) => feasible.push(eval),
-                    _ => infeasible += 1,
-                }
-            }
-            rounds += 1;
-        }
-
-        let best = self.best_of(query, &feasible);
-        let mut frontier = ParetoFrontier::new(&OBJECTIVE_SENSES);
-        for (i, eval) in feasible.iter().enumerate() {
-            frontier.insert(i, &eval.objectives());
-        }
-        let frontier: Vec<DesignEval> = frontier.members().iter().map(|m| feasible[m.id]).collect();
-
+        let answer = answer()?;
         if let (Some(t), Some(start)) = (self.telemetry.as_ref(), started) {
             t.latency.record(t.clock.now() - start);
-            t.points.record(evaluated as f64);
+            t.points.record(answer.evaluated as f64);
         }
-        Ok(QueryAnswer {
-            name: query.name.clone(),
-            best,
-            frontier,
-            evaluated,
-            feasible: feasible.len(),
-            infeasible,
-            rounds,
-        })
+        Ok(answer)
     }
 
     /// Runs a batch of queries in order, sharing the cache across them.
@@ -351,23 +318,213 @@ impl Explorer {
     pub fn try_run_batch(&self, queries: &[Query]) -> Vec<Result<QueryAnswer, TaskPanic>> {
         queries.iter().map(|q| self.try_run(q)).collect()
     }
-
-    /// The incumbent under the query's objective; ties resolve to the
-    /// earliest evaluation, keeping refinement deterministic.
-    fn best_of(&self, query: &Query, feasible: &[DesignEval]) -> Option<DesignEval> {
-        let scores: Vec<f64> = feasible.iter().map(|e| query.objective.value(e)).collect();
-        let idx = match query.objective.sense() {
-            Sense::Maximize => argmax(&scores),
-            Sense::Minimize => argmin(&scores),
-        }?;
-        Some(feasible[idx])
-    }
 }
 
 impl Default for Explorer {
     fn default() -> Self {
         Explorer::with_default_threads()
     }
+}
+
+/// Answers `query` over a partitioned engine: every round's points are
+/// split by [`shard_of`] over `shards.len()` engines, evaluated on all
+/// of them at once, and handed back in input order to the same round
+/// loop [`Explorer::try_run`] runs. Refinement, the cross-round `seen`
+/// set, the incumbent and the frontier are therefore computed exactly
+/// once, and the answer equals a single engine's whatever the shard
+/// count. Shard 0 evaluates on the calling thread and every other
+/// shard on a scoped thread of its own, so the width of the deployment
+/// is the sum of the shards' executor widths. Each shard's cache only
+/// ever sees its own partition. Latency telemetry, when attached,
+/// records on shard 0.
+///
+/// With one shard this *is* `shards[0].try_run(query)`.
+///
+/// # Errors
+///
+/// A panicking evaluation fails the whole query with the first panic
+/// by input index, as one engine reports it.
+///
+/// # Panics
+///
+/// If `shards` is empty.
+pub fn try_run_sharded(shards: &[Explorer], query: &Query) -> Result<QueryAnswer, TaskPanic> {
+    try_run_sharded_spanned(shards, query, None)
+}
+
+/// [`try_run_sharded`] with causal tracing: each round opens an
+/// `explore.round` span under `parent` as [`Explorer::try_run_spanned`]
+/// does, each shard an `explore.shard` child of it (order = shard
+/// index), and every point traces under its shard's span through
+/// [`Explorer::try_evaluate_points_spanned`].
+///
+/// # Errors
+///
+/// As [`try_run_sharded`].
+///
+/// # Panics
+///
+/// If `shards` is empty.
+pub fn try_run_sharded_spanned(
+    shards: &[Explorer],
+    query: &Query,
+    parent: Option<&Span>,
+) -> Result<QueryAnswer, TaskPanic> {
+    let [first, rest @ ..] = shards else {
+        panic!("try_run_sharded needs at least one shard");
+    };
+    if rest.is_empty() {
+        return first.try_run_spanned(query, parent);
+    }
+    first.timed(|| {
+        run_rounds(query, parent, |grid, span| {
+            evaluate_sharded(shards, grid, span)
+        })
+    })
+}
+
+/// One round's points, partitioned over `shards` and evaluated
+/// concurrently; results come back in input order, a panic as the
+/// first by input index.
+fn evaluate_sharded(
+    shards: &[Explorer],
+    points: &[DesignQuery],
+    parent: Option<&Span>,
+) -> Result<Vec<EvalResult>, TaskPanic> {
+    let count = shards.len() as u32;
+    // Each shard's part of the round, as input indices.
+    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shards.len()];
+    for (i, point) in points.iter().enumerate() {
+        parts[shard_of(point, count) as usize].push(i);
+    }
+    let evaluate = |shard: usize| {
+        let part: Vec<DesignQuery> = parts[shard].iter().map(|&i| points[i]).collect();
+        let span = parent.map(|p| {
+            let mut span = p.child("explore.shard", shard as u64);
+            span.tag("points", part.len());
+            span
+        });
+        shards[shard].evaluate_points_indexed(&part, span.as_ref())
+    };
+    let results = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..shards.len())
+            .map(|shard| scope.spawn(move || evaluate(shard)))
+            .collect();
+        let mut results = vec![evaluate(0)];
+        results.extend(others.into_iter().map(|handle| {
+            handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        }));
+        results
+    });
+    let mut resolved: Vec<Option<EvalResult>> = vec![None; points.len()];
+    let mut first_panic: Option<(usize, TaskPanic)> = None;
+    for (part, result) in parts.iter().zip(results) {
+        match result {
+            Ok(values) => {
+                for (&i, value) in part.iter().zip(values) {
+                    resolved[i] = Some(value);
+                }
+            }
+            Err((k, caught)) => {
+                if first_panic
+                    .as_ref()
+                    .is_none_or(|(first, _)| part[k] < *first)
+                {
+                    first_panic = Some((part[k], caught));
+                }
+            }
+        }
+    }
+    if let Some((_, caught)) = first_panic {
+        return Err(caught);
+    }
+    Ok(resolved
+        .into_iter()
+        .map(|slot| slot.expect("every point resolved"))
+        .collect())
+}
+
+/// The round loop behind every grid query: round 0 sweeps the grid,
+/// each refinement round re-centres on the incumbent, and `evaluate`
+/// answers each round's points in input order. Refinement rounds
+/// revisit the incumbent's neighbourhood; each unique design enters
+/// the feasible pool (and so the frontier) once, however many rounds
+/// touch it.
+fn run_rounds(
+    query: &Query,
+    parent: Option<&Span>,
+    mut evaluate: impl FnMut(&[DesignQuery], Option<&Span>) -> Result<Vec<EvalResult>, TaskPanic>,
+) -> Result<QueryAnswer, TaskPanic> {
+    let mut feasible: Vec<DesignEval> = Vec::new();
+    let mut evaluated = 0usize;
+    let mut infeasible = 0usize;
+    let mut rounds = 0usize;
+    let mut ranges = query.ranges.clone();
+    let mut seen: HashSet<CacheKey, BuildFnv> = HashSet::default();
+
+    for round in 0..=query.refine_rounds {
+        if round > 0 {
+            // Refinement needs an incumbent to centre on.
+            let Some(best) = best_of(query, &feasible) else {
+                break;
+            };
+            ranges = query.ranges.refined_around(&best.query, query.refine_steps);
+        }
+        let mut grid = ranges.grid();
+        if let Some(shard) = query.shard {
+            // Keep only the requested partition. The filter runs
+            // before `evaluated +=`, so per-shard counts sum exactly to
+            // the unsharded grid size.
+            grid.retain(|point| shard_of(point, shard.count) == shard.index);
+        }
+        evaluated += grid.len();
+        let round_span = parent.map(|p| {
+            let mut span = p.child("explore.round", round as u64);
+            span.tag("round", round as u64);
+            span.tag("points", grid.len());
+            span
+        });
+        let results = evaluate(&grid, round_span.as_ref())?;
+        for (point, result) in grid.iter().zip(results) {
+            if !seen.insert(CacheKey::quantize(point)) {
+                continue;
+            }
+            match result {
+                Ok(eval) if query.constraints.admits(&eval) => feasible.push(eval),
+                _ => infeasible += 1,
+            }
+        }
+        rounds += 1;
+    }
+
+    let best = best_of(query, &feasible);
+    let mut frontier = ParetoFrontier::new(&OBJECTIVE_SENSES);
+    for (i, eval) in feasible.iter().enumerate() {
+        frontier.insert(i, &eval.objectives());
+    }
+    let frontier: Vec<DesignEval> = frontier.members().iter().map(|m| feasible[m.id]).collect();
+    Ok(QueryAnswer {
+        name: query.name.clone(),
+        best,
+        frontier,
+        evaluated,
+        feasible: feasible.len(),
+        infeasible,
+        rounds,
+    })
+}
+
+/// The incumbent under the query's objective; ties resolve to the
+/// earliest evaluation, keeping refinement deterministic.
+fn best_of(query: &Query, feasible: &[DesignEval]) -> Option<DesignEval> {
+    let scores: Vec<f64> = feasible.iter().map(|e| query.objective.value(e)).collect();
+    let idx = match query.objective.sense() {
+        Sense::Maximize => argmax(&scores),
+        Sense::Minimize => argmin(&scores),
+    }?;
+    Some(feasible[idx])
 }
 
 /// Evaluates one executor block of fresh points through the batched
@@ -541,6 +698,55 @@ mod tests {
             .filter_map(|a| a.best.as_ref().map(|b| b.flight_time_min))
             .fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(best_of_shards, whole.best.unwrap().flight_time_min);
+    }
+
+    #[test]
+    fn sharded_runs_answer_exactly_like_one_engine() {
+        let query =
+            Query::new("s", small_ranges(), Objective::MinComputeShare).with_refinement(2, 5);
+        let single = Explorer::new(1);
+        let whole = single.run(&query);
+        assert!(whole.rounds > 1, "refinement must run");
+        for count in 1..=4 {
+            let shards: Vec<Explorer> = (0..count).map(|_| Explorer::new(1)).collect();
+            assert_eq!(
+                try_run_sharded(&shards, &query).unwrap(),
+                whole,
+                "{count} shards"
+            );
+            // Each shard cached only its own partition.
+            let cached: usize = shards.iter().map(|s| s.cache().len()).sum();
+            assert_eq!(cached, single.cache().len());
+        }
+    }
+
+    #[test]
+    fn sharded_runs_report_the_first_panic_by_input_index() {
+        // Every point at or above 350 mm panics with its own message.
+        let engine = || {
+            Explorer::new(1).with_eval_hook(Arc::new(|q: &DesignQuery| {
+                assert!(
+                    q.wheelbase_mm < 349.0,
+                    "poisoned {} mm / {} mAh",
+                    q.wheelbase_mm,
+                    q.capacity_mah
+                );
+            }))
+        };
+        let query = Query::new("p", small_ranges(), Objective::MaxFlightTime);
+        let expected = engine().try_run(&query).unwrap_err();
+        let first = small_ranges()
+            .grid()
+            .into_iter()
+            .find(|q| q.wheelbase_mm >= 349.0)
+            .unwrap();
+        // Shard order alone would answer differently at some count.
+        assert!((2..=4).any(|count| shard_of(&first, count) != 0));
+        for count in 1..=4 {
+            let shards: Vec<Explorer> = (0..count).map(|_| engine()).collect();
+            let caught = try_run_sharded(&shards, &query).unwrap_err();
+            assert_eq!(caught, expected, "{count} shards");
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod pareto;
 pub mod query;
 
 pub use cache::{shard_of, CacheKey, CachedEval, EvalCache};
-pub use engine::{EvalHook, EvalResult, Explorer};
+pub use engine::{try_run_sharded, try_run_sharded_spanned, EvalHook, EvalResult, Explorer};
 pub use executor::{default_threads, set_default_threads, ParallelExecutor, TaskPanic};
 pub use optimize::{Lattice, LatticePoint, OptimizeAnswer, OptimizeRequest, Strategy};
 pub use pareto::{extract_frontier, extract_frontier_2d, FrontierEntry, ParetoFrontier};

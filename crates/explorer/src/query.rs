@@ -501,9 +501,11 @@ pub struct Query {
     pub refine_rounds: usize,
     /// Samples per swept coordinate in each refinement round.
     pub refine_steps: usize,
-    /// When set, evaluate only this process-level partition of each
-    /// round's grid (the router's scatter path); `None` — the default
-    /// everywhere outside the router — evaluates the full grid.
+    /// When set, evaluate only this [`crate::shard_of`] partition of
+    /// each round's grid; `None`, the default, evaluates the full
+    /// grid. The router does not need it ([`crate::try_run_sharded`]
+    /// partitions evaluation itself); it stays on the wire for callers
+    /// that replay one shard's share of a query.
     pub shard: Option<ShardSpec>,
 }
 

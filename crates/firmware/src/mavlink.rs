@@ -7,7 +7,6 @@
 //! MAVLink v1, a typed message set, and a resynchronizing stream parser
 //! that survives garbage, truncation and corruption.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -143,60 +142,56 @@ impl Message {
         msg_id.wrapping_mul(151).wrapping_add(73)
     }
 
-    fn payload(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        match self {
-            Message::Heartbeat { mode, armed } => {
-                buf.put_u8(*mode);
-                buf.put_u8(u8::from(*armed));
+    fn payload(&self) -> Vec<u8> {
+        fn f32s(buf: &mut Vec<u8>, values: &[f32]) {
+            for v in values {
+                buf.extend_from_slice(&v.to_le_bytes());
             }
+        }
+        let mut buf = Vec::new();
+        match self {
+            Message::Heartbeat { mode, armed } => buf.extend_from_slice(&[*mode, u8::from(*armed)]),
             Message::Attitude {
                 time_ms,
                 roll,
                 pitch,
                 yaw,
             } => {
-                buf.put_u32_le(*time_ms);
-                buf.put_f32_le(*roll);
-                buf.put_f32_le(*pitch);
-                buf.put_f32_le(*yaw);
+                buf.extend_from_slice(&time_ms.to_le_bytes());
+                f32s(&mut buf, &[*roll, *pitch, *yaw]);
             }
             Message::Position {
                 time_ms,
                 position,
                 velocity,
             } => {
-                buf.put_u32_le(*time_ms);
-                for v in position.iter().chain(velocity) {
-                    buf.put_f32_le(*v);
-                }
+                buf.extend_from_slice(&time_ms.to_le_bytes());
+                f32s(&mut buf, position);
+                f32s(&mut buf, velocity);
             }
             Message::BatteryStatus {
                 voltage_mv,
                 remaining_pct,
             } => {
-                buf.put_u16_le(*voltage_mv);
-                buf.put_u8(*remaining_pct);
+                buf.extend_from_slice(&voltage_mv.to_le_bytes());
+                buf.push(*remaining_pct);
             }
             Message::CommandLong { command, params } => {
-                buf.put_u16_le(*command);
-                for p in params {
-                    buf.put_f32_le(*p);
-                }
+                buf.extend_from_slice(&command.to_le_bytes());
+                f32s(&mut buf, params);
             }
             Message::CommandAck { command, result } => {
-                buf.put_u16_le(*command);
-                buf.put_u8(*result);
+                buf.extend_from_slice(&command.to_le_bytes());
+                buf.push(*result);
             }
             Message::StatusText { severity, text } => {
-                buf.put_u8(*severity);
                 let bytes = text.as_bytes();
                 let n = bytes.len().min(50);
-                buf.put_u8(n as u8);
-                buf.put_slice(&bytes[..n]);
+                buf.extend_from_slice(&[*severity, n as u8]);
+                buf.extend_from_slice(&bytes[..n]);
             }
-            Message::MissionCount { count } => buf.put_u16_le(*count),
-            Message::MissionRequest { seq } => buf.put_u16_le(*seq),
+            Message::MissionCount { count } => buf.extend_from_slice(&count.to_le_bytes()),
+            Message::MissionRequest { seq } => buf.extend_from_slice(&seq.to_le_bytes()),
             Message::MissionItem {
                 seq,
                 kind,
@@ -205,52 +200,35 @@ impl Message {
                 z,
                 param,
             } => {
-                buf.put_u16_le(*seq);
-                buf.put_u8(*kind);
-                buf.put_f32_le(*x);
-                buf.put_f32_le(*y);
-                buf.put_f32_le(*z);
-                buf.put_f32_le(*param);
+                buf.extend_from_slice(&seq.to_le_bytes());
+                buf.push(*kind);
+                f32s(&mut buf, &[*x, *y, *z, *param]);
             }
-            Message::MissionAck { result } => buf.put_u8(*result),
+            Message::MissionAck { result } => buf.push(*result),
         }
-        buf.freeze()
+        buf
     }
 
-    fn decode_payload(msg_id: u8, mut p: Bytes) -> Option<Message> {
-        // Length checks before every read; short frames decode to None.
-        fn take_f32(p: &mut Bytes) -> Option<f32> {
-            (p.remaining() >= 4).then(|| p.get_f32_le())
-        }
+    fn decode_payload(msg_id: u8, payload: &[u8]) -> Option<Message> {
+        // Every read checks the remaining length; short frames decode
+        // to None.
+        let mut p = Reader(payload);
         match msg_id {
-            0 => {
-                if p.remaining() < 2 {
-                    return None;
-                }
-                let mode = p.get_u8();
-                let armed = p.get_u8() != 0;
-                Some(Message::Heartbeat { mode, armed })
-            }
-            30 => {
-                if p.remaining() < 16 {
-                    return None;
-                }
-                let time_ms = p.get_u32_le();
-                Some(Message::Attitude {
-                    time_ms,
-                    roll: take_f32(&mut p)?,
-                    pitch: take_f32(&mut p)?,
-                    yaw: take_f32(&mut p)?,
-                })
-            }
+            0 => Some(Message::Heartbeat {
+                mode: p.u8()?,
+                armed: p.u8()? != 0,
+            }),
+            30 => Some(Message::Attitude {
+                time_ms: p.u32()?,
+                roll: p.f32()?,
+                pitch: p.f32()?,
+                yaw: p.f32()?,
+            }),
             33 => {
-                if p.remaining() < 28 {
-                    return None;
-                }
-                let time_ms = p.get_u32_le();
+                let time_ms = p.u32()?;
                 let mut vals = [0f32; 6];
                 for v in &mut vals {
-                    *v = take_f32(&mut p)?;
+                    *v = p.f32()?;
                 }
                 Some(Message::Position {
                     time_ms,
@@ -258,109 +236,92 @@ impl Message {
                     velocity: [vals[3], vals[4], vals[5]],
                 })
             }
-            147 => {
-                if p.remaining() < 3 {
-                    return None;
-                }
-                let voltage_mv = p.get_u16_le();
-                let remaining_pct = p.get_u8();
-                Some(Message::BatteryStatus {
-                    voltage_mv,
-                    remaining_pct,
-                })
-            }
+            147 => Some(Message::BatteryStatus {
+                voltage_mv: p.u16()?,
+                remaining_pct: p.u8()?,
+            }),
             76 => {
-                if p.remaining() < 30 {
-                    return None;
-                }
-                let command = p.get_u16_le();
+                let command = p.u16()?;
                 let mut params = [0f32; 7];
                 for v in &mut params {
-                    *v = take_f32(&mut p)?;
+                    *v = p.f32()?;
                 }
                 Some(Message::CommandLong { command, params })
             }
-            77 => {
-                if p.remaining() < 3 {
-                    return None;
-                }
-                let command = p.get_u16_le();
-                let result = p.get_u8();
-                Some(Message::CommandAck { command, result })
-            }
+            77 => Some(Message::CommandAck {
+                command: p.u16()?,
+                result: p.u8()?,
+            }),
             253 => {
-                if p.remaining() < 2 {
-                    return None;
-                }
-                let severity = p.get_u8();
-                let n = p.get_u8() as usize;
-                if p.remaining() < n {
-                    return None;
-                }
-                let text = String::from_utf8_lossy(&p.copy_to_bytes(n)).into_owned();
+                let severity = p.u8()?;
+                let n = p.u8()? as usize;
+                let text = String::from_utf8_lossy(p.bytes(n)?).into_owned();
                 Some(Message::StatusText { severity, text })
             }
-            44 => {
-                if p.remaining() < 2 {
-                    return None;
-                }
-                Some(Message::MissionCount {
-                    count: p.get_u16_le(),
-                })
-            }
-            40 => {
-                if p.remaining() < 2 {
-                    return None;
-                }
-                Some(Message::MissionRequest {
-                    seq: p.get_u16_le(),
-                })
-            }
-            73 => {
-                if p.remaining() < 19 {
-                    return None;
-                }
-                let seq = p.get_u16_le();
-                let kind = p.get_u8();
-                Some(Message::MissionItem {
-                    seq,
-                    kind,
-                    x: take_f32(&mut p)?,
-                    y: take_f32(&mut p)?,
-                    z: take_f32(&mut p)?,
-                    param: take_f32(&mut p)?,
-                })
-            }
-            47 => {
-                if p.remaining() < 1 {
-                    return None;
-                }
-                Some(Message::MissionAck { result: p.get_u8() })
-            }
+            44 => Some(Message::MissionCount { count: p.u16()? }),
+            40 => Some(Message::MissionRequest { seq: p.u16()? }),
+            73 => Some(Message::MissionItem {
+                seq: p.u16()?,
+                kind: p.u8()?,
+                x: p.f32()?,
+                y: p.f32()?,
+                z: p.f32()?,
+                param: p.f32()?,
+            }),
+            47 => Some(Message::MissionAck { result: p.u8()? }),
             _ => None,
         }
     }
 
     /// Encodes the message into a complete wire frame.
-    pub fn encode(&self, seq: u8, sys_id: u8, comp_id: u8) -> Bytes {
+    pub fn encode(&self, seq: u8, sys_id: u8, comp_id: u8) -> Vec<u8> {
         let payload = self.payload();
         assert!(payload.len() <= MAX_PAYLOAD, "payload too large");
         let msg_id = self.msg_id();
-        let mut frame = BytesMut::with_capacity(8 + payload.len());
-        frame.put_u8(STX);
-        frame.put_u8(payload.len() as u8);
-        frame.put_u8(seq);
-        frame.put_u8(sys_id);
-        frame.put_u8(comp_id);
-        frame.put_u8(msg_id);
-        frame.put_slice(&payload);
+        let mut frame = Vec::with_capacity(8 + payload.len());
+        frame.extend_from_slice(&[STX, payload.len() as u8, seq, sys_id, comp_id, msg_id]);
+        frame.extend_from_slice(&payload);
         // CRC over everything after STX, then the CRC-extra byte.
         let crc = crc_x25(
             &[&frame[1..], &[Self::crc_extra(msg_id)][..]].concat(),
             0xFFFF,
         );
-        frame.put_u16_le(crc);
-        frame.freeze()
+        frame.extend_from_slice(&crc.to_le_bytes());
+        frame
+    }
+}
+
+/// A little-endian read cursor over one payload. Each read returns
+/// `None`, consuming nothing, when too few bytes remain.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn f32(&mut self) -> Option<f32> {
+        self.array().map(f32::from_le_bytes)
     }
 }
 
@@ -489,7 +450,7 @@ impl StreamParser {
                 let seq = self.buffer[2];
                 let sys_id = self.buffer[3];
                 let comp_id = self.buffer[4];
-                let payload = Bytes::copy_from_slice(&self.buffer[6..6 + payload_len]);
+                let payload = &self.buffer[6..6 + payload_len];
                 if let Some(message) = Message::decode_payload(msg_id, payload) {
                     out.push(Frame {
                         seq,
@@ -685,6 +646,22 @@ mod tests {
         match &frames[0].message {
             Message::StatusText { text, .. } => assert_eq!(text.len(), 50),
             other => panic!("wrong message {other}"),
+        }
+    }
+
+    #[test]
+    fn underflow_decodes_to_none() {
+        // A read past the end returns None and consumes nothing.
+        let mut r = Reader(&[1]);
+        assert_eq!(r.u16(), None);
+        assert_eq!(r.0, &[1]);
+        assert_eq!(r.u8(), Some(1));
+        assert_eq!(r.u8(), None);
+        // Every message with its payload cut short decodes to None.
+        for msg in all_messages() {
+            let payload = msg.payload();
+            let short = &payload[..payload.len() - 1];
+            assert_eq!(Message::decode_payload(msg.msg_id(), short), None, "{msg}");
         }
     }
 

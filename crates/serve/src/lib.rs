@@ -32,10 +32,10 @@
 //!   one structured `overloaded` reply, and [`ReactorServer::drain`]
 //!   joins every thread. The epoll shims exist only on Linux
 //!   x86_64/aarch64; other targets build but have no front-end.
-//! - [`router`] — process-level sharding: the memo cache's
-//!   quantized-FNV scheme lifted to N engine shards behind a thin
-//!   scatter/gather front whose input-ordered merge makes replies
-//!   byte-identical at every shard count (DESIGN §14).
+//! - [`router`] — in-process sharding: the memo cache's quantized-FNV
+//!   scheme lifted to N engines that each evaluate their partition of
+//!   every round inside the engine's own round loop, so replies are
+//!   byte-identical to one engine's at every shard count (DESIGN §14).
 //! - [`workload`] — deterministic seeded client workloads, so the
 //!   `repro serve` / `repro serve_scale` benchmarks replay the same
 //!   byte stream every run and their artifacts stay byte-stable
@@ -89,6 +89,6 @@ pub use protocol::{
     TraceQuery, MAX_TRACE_FETCH,
 };
 pub use reactor::{LineHandler, ReactorConfig, ReactorServer};
-pub use router::{Router, RouterConfig, RouterStats};
+pub use router::{Router, RouterConfig};
 pub use service::{DrainStats, EngineService};
 pub use workload::Workload;

@@ -19,8 +19,8 @@
 use drone_components::battery::CellCount;
 use drone_dse::eval::DesignEval;
 use drone_explorer::{
-    Constraints, Explorer, GridRange, Objective, OptimizeAnswer, OptimizeRequest, Query,
-    QueryAnswer, QueryLimits, QueryRanges, ShardSpec, Strategy,
+    try_run_sharded_spanned, Constraints, Explorer, GridRange, Objective, OptimizeAnswer,
+    OptimizeRequest, Query, QueryAnswer, QueryLimits, QueryRanges, ShardSpec, Strategy,
 };
 use drone_telemetry::trace::{
     derive_trace_id_bytes, id_hex, parse_id_hex, TraceBuilder, TraceRing,
@@ -935,7 +935,7 @@ pub fn handle_batch_with(
     limits: &QueryLimits,
     policy: BatchPolicy,
 ) -> (Vec<String>, BatchOutcome) {
-    let (slots, outcome) = handle_batch_core(engine, lines, limits, policy, None);
+    let (slots, outcome) = handle_batch_core(Backend::Engine(engine), lines, limits, policy, None);
     let replies = slots
         .into_iter()
         .map(|slot| match slot {
@@ -965,7 +965,28 @@ pub fn handle_batch_traced(
     policy: BatchPolicy,
     tracing: &BatchTracing<'_>,
 ) -> (Vec<ReplySlot>, BatchOutcome) {
-    handle_batch_core(engine, lines, limits, policy, Some(tracing))
+    let backend = Backend::Engine(engine);
+    handle_batch_core(backend, lines, limits, policy, Some(tracing))
+}
+
+/// What a batch is answered against.
+#[derive(Clone, Copy)]
+pub(crate) enum Backend<'a> {
+    /// One engine, answering every request kind.
+    Engine(&'a Explorer),
+    /// A router's engine shards: grid queries, each run by
+    /// [`try_run_sharded_spanned`] (which answers exactly as one engine
+    /// does), and introspection; no optimize requests.
+    Shards(&'a [Explorer]),
+}
+
+impl<'a> Backend<'a> {
+    fn shards(self) -> &'a [Explorer] {
+        match self {
+            Backend::Engine(engine) => std::slice::from_ref(engine),
+            Backend::Shards(shards) => shards,
+        }
+    }
 }
 
 /// Applies the cost-deadline policy to one piece of valid work.
@@ -985,8 +1006,10 @@ fn disposition_for(request: Request, work: Work, policy: BatchPolicy) -> Disposi
     }
 }
 
-fn handle_batch_core(
-    engine: &Explorer,
+/// The batch handler behind every server: [`handle_batch_traced`] over
+/// `backend`.
+pub(crate) fn handle_batch_core(
+    backend: Backend<'_>,
     lines: &[&str],
     limits: &QueryLimits,
     policy: BatchPolicy,
@@ -1007,6 +1030,12 @@ fn handle_batch_core(
                     RequestError::bad("introspection requires a live server"),
                 ),
                 RequestBody::Query(query) => disposition_for(request, Work::Query(query), policy),
+                RequestBody::Optimize(_) if matches!(backend, Backend::Shards(_)) => {
+                    Disposition::Reject(
+                        request.id,
+                        RequestError::bad("the router does not serve optimize requests"),
+                    )
+                }
                 RequestBody::Optimize(req) => disposition_for(request, Work::Optimize(req), policy),
             },
             Err((id, error)) => Disposition::Reject(id, error),
@@ -1039,10 +1068,12 @@ fn handle_batch_core(
                 let mut reply: Option<Json> = None;
                 trace_request(&request, &mut |mut root| {
                     let result = match &work {
-                        Work::Query(query) => engine
-                            .try_run_spanned(query, root.as_deref())
-                            .map(|answer| (cost_units(&answer), ok_reply(&request.id, &answer))),
-                        Work::Optimize(req) => engine
+                        Work::Query(query) => {
+                            try_run_sharded_spanned(backend.shards(), query, root.as_deref())
+                                .map(|answer| (cost_units(&answer), ok_reply(&request.id, &answer)))
+                        }
+                        // Only a single-engine backend admits these.
+                        Work::Optimize(req) => backend.shards()[0]
                             .try_optimize_spanned(req, root.as_deref())
                             .map(|answer| {
                                 (

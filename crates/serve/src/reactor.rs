@@ -16,8 +16,8 @@
 //! The reactor owns sockets, framing and deadlines only: the
 //! [`LineFramer`] turns chunks into complete lines, and a
 //! [`LineHandler`] answers them. [`ReactorServer::start`] plugs in the
-//! engine-backed [`EngineService`]; the scatter/gather
-//! [`crate::router::Router`] front is the second implementation.
+//! engine-backed [`EngineService`]; the sharded
+//! [`crate::router::Router`] front wraps one built over its shards.
 //!
 //! The slow-loris defense is progress-based: each connection that
 //! *owes a newline* carries a progress deadline, and the reactor's
@@ -27,7 +27,7 @@
 
 use crate::framer::{FrameEvent, LineFramer};
 use crate::protocol::ErrorKind;
-use crate::service::{DrainStats, EngineService};
+use crate::service::{DrainStats, EngineService, Engines};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use drone_explorer::{Explorer, QueryLimits};
 use drone_telemetry::Registry;
@@ -167,7 +167,8 @@ impl ReactorServer {
         registry: &Registry,
     ) -> std::io::Result<ReactorServer> {
         let live = Arc::new(AtomicUsize::new(0));
-        let service = EngineService::new(engine, registry, &config, Arc::clone(&live));
+        let engines = Engines::One(Box::new(engine));
+        let service = EngineService::new(engines, registry, &config, Arc::clone(&live));
         ReactorServer::start_with_handler(Arc::new(service), config, live)
     }
 

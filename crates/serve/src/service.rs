@@ -2,16 +2,17 @@
 //! panic isolation, introspection and `serve.*` accounting.
 //!
 //! [`EngineService`] is the [`LineHandler`] a plain [`crate::ReactorServer`]
-//! (and each router shard) answers complete request lines with. The
-//! reactor owns sockets, framing and deadlines; everything past a
-//! complete line is deterministic protocol code from [`crate::protocol`].
+//! answers complete request lines with; the [`crate::Router`] front
+//! answers through one built over its engine shards. The reactor owns
+//! sockets, framing and deadlines; everything past a complete line is
+//! deterministic protocol code from [`crate::protocol`].
 //!
 //! [`DrainStats`] is what a graceful shutdown reports: the join count
 //! lets tests (and CI) pin "no thread leaked" as an invariant rather
 //! than a hope.
 
 use crate::protocol::{
-    self, AdminRequest, BatchPolicy, BatchTracing, ErrorKind, ReplySlot, RequestError,
+    self, AdminRequest, Backend, BatchPolicy, BatchTracing, ErrorKind, ReplySlot, RequestError,
 };
 use crate::reactor::{LineHandler, ReactorConfig};
 use drone_explorer::{Explorer, QueryLimits};
@@ -32,8 +33,8 @@ pub struct DrainStats {
 }
 
 /// The `serve.*` metric family. Every engine-backed server registers
-/// against the same names, so a process running several (the router
-/// does) reports aggregates.
+/// against the same names, so a process running several reports
+/// aggregates.
 struct Metrics {
     requests: Arc<Counter>,
     batches: Arc<Counter>,
@@ -88,11 +89,21 @@ impl Metrics {
     }
 }
 
+/// What an [`EngineService`] answers with.
+pub(crate) enum Engines {
+    /// One engine, answering every request kind.
+    One(Box<Explorer>),
+    /// A router's shards: every grid query runs over all of them (see
+    /// [`drone_explorer::try_run_sharded`]), introspection is answered
+    /// as usual, and optimize requests are refused with `bad_request`.
+    Shards(Vec<Explorer>),
+}
+
 /// Everything needed to answer a batch of complete request lines:
 /// engine, limits, tracing, metric accounting, and the reactors'
 /// open-connection count for `stats` replies.
 pub struct EngineService {
-    engine: Explorer,
+    engines: Engines,
     limits: QueryLimits,
     max_batch: usize,
     cost_deadline: Option<u64>,
@@ -110,13 +121,13 @@ impl EngineService {
     /// `stats` reply reports it as `queue_depth` (the reactor has no
     /// admission queue — its backlog *is* its open connections).
     pub(crate) fn new(
-        engine: Explorer,
+        engines: Engines,
         registry: &Registry,
         config: &ReactorConfig,
         live: Arc<AtomicUsize>,
     ) -> EngineService {
         EngineService {
-            engine,
+            engines,
             limits: config.limits,
             max_batch: config.max_batch,
             cost_deadline: config.cost_deadline,
@@ -164,21 +175,26 @@ impl EngineService {
             }
         }
     }
-}
 
-impl LineHandler for EngineService {
     /// Answers `lines` in input order, `max_batch` lines per engine
     /// batch, appending one newline-terminated reply per line to `out`.
-    fn handle_lines(&self, lines: &[String], out: &mut String) {
+    /// Returns how many of the replies were errors.
+    pub(crate) fn answer_lines(&self, lines: &[String], out: &mut String) -> usize {
         let policy = BatchPolicy {
             cost_deadline: self.cost_deadline,
         };
+        let backend = match &self.engines {
+            Engines::One(engine) => Backend::Engine(engine),
+            Engines::Shards(shards) => Backend::Shards(shards),
+        };
+        let mut rejected = 0;
         for chunk in lines.chunks(self.max_batch.max(1)) {
             let batch: Vec<&str> = chunk.iter().map(String::as_str).collect();
             let started = self.clock.now();
-            // handle_batch_traced already converts evaluation panics
+            // The batch handler already converts evaluation panics
             // into per-request internal_error replies; this second
-            // layer covers the protocol code itself, answering the
+            // layer covers everything else (the protocol code, or a
+            // panic re-raised from a shard's thread), answering the
             // whole batch with typed errors rather than dropping the
             // connection.
             let (slots, outcome) = catch_unwind(AssertUnwindSafe(|| {
@@ -187,7 +203,7 @@ impl LineHandler for EngineService {
                     clock: self.clock.clone(),
                     seed: self.trace_seed,
                 };
-                protocol::handle_batch_traced(&self.engine, &batch, &self.limits, policy, &tracing)
+                protocol::handle_batch_core(backend, &batch, &self.limits, policy, Some(&tracing))
             }))
             .unwrap_or_else(|_| {
                 let error = RequestError {
@@ -206,6 +222,7 @@ impl LineHandler for EngineService {
             });
             let elapsed = self.clock.now() - started;
             self.metrics.account(batch.len(), &outcome, elapsed);
+            rejected += outcome.rejected();
             for slot in &slots {
                 match slot {
                     ReplySlot::Line(line) => out.push_str(line),
@@ -216,6 +233,13 @@ impl LineHandler for EngineService {
                 out.push('\n');
             }
         }
+        rejected
+    }
+}
+
+impl LineHandler for EngineService {
+    fn handle_lines(&self, lines: &[String], out: &mut String) {
+        self.answer_lines(lines, out);
     }
 
     /// One refusal line for a connection-level fault (oversized line,

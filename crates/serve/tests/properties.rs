@@ -219,7 +219,7 @@ fn socket_survives_junk_interleaved_with_valid_requests() {
 }
 
 /// Property tests for the epoll reactor front-end and the sharded
-/// scatter/gather router. Gated like `drone_serve::sys`: the raw
+/// router. Gated like `drone_serve::sys`: the raw
 /// epoll shims exist only on Linux x86_64/aarch64.
 #[cfg(all(
     target_os = "linux",
@@ -422,12 +422,12 @@ mod reactor_props {
             prop_assert!(stats.clean);
         }
 
-        /// Scatter/gather parity: the same pipelined workload through
-        /// a 1-shard and a 4-shard router produces byte-identical
-        /// reply lines — merged Pareto frontiers, counts and
-        /// incumbents do not depend on the shard count. Workload
-        /// queries include refinement rounds ~25% of the time, so the
-        /// router-driven refinement recurrence is covered too.
+        /// Shard parity: the same pipelined workload through a 1-,
+        /// 2- and 4-shard router produces reply lines byte-identical
+        /// to `handle_batch` on one fresh engine — frontiers, counts
+        /// and incumbents do not depend on the shard count. Workload
+        /// queries refine ~25% of the time, so the cross-round `seen`
+        /// set behind `feasible`/`infeasible` is covered too.
         #[test]
         fn router_replies_are_byte_identical_at_one_and_four_shards(
             seed in any::<u64>(),
@@ -460,15 +460,22 @@ mod reactor_props {
                 assert!(stats.clean, "router drain must join every thread");
                 replies
             };
-            let one = run(1);
-            let four = run(4);
-            prop_assert_eq!(one.len(), 3);
-            for reply in &one {
+            let lines: Vec<&str> = payload.lines().collect();
+            let (direct, _) = handle_batch(&engine(), &lines, &QueryLimits::default());
+            prop_assert_eq!(direct.len(), 3);
+            for reply in &direct {
                 assert_reply_shape(reply);
                 let doc = Json::parse(reply).unwrap();
                 prop_assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{}", reply);
             }
-            prop_assert_eq!(one, four, "shard count changed the reply bytes");
+            for shards in [1, 2, 4] {
+                prop_assert_eq!(
+                    &run(shards),
+                    &direct,
+                    "{}-shard router differs from one engine",
+                    shards
+                );
+            }
         }
     }
 }

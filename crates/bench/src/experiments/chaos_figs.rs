@@ -27,14 +27,14 @@
 //! at `--threads 1` and `--threads 4`. CI diffs exactly that and
 //! asserts zero uncaught panics and zero leaked threads.
 
-use crate::experiments::serve_figs::fnv_digest;
+use crate::experiments::serve_figs::{fnv_digest, wait_until};
 use crate::experiments::Report;
 use crate::table::{f, Table};
 use drone_components::battery::CellCount;
 use drone_explorer::{Explorer, GridRange, Objective, Query, QueryRanges};
 use drone_serve::{
-    CallError, ChaosProxy, Client, ClientConfig, ErrorKind, Fault, FaultSchedule, ReactorConfig,
-    ReactorServer,
+    CallError, ChaosProxy, Client, ClientConfig, DrainStats, ErrorKind, Fault, FaultSchedule,
+    ReactorConfig, ReactorServer,
 };
 use drone_telemetry::{Histogram, Json, Registry};
 use std::io::{BufRead, BufReader, Write};
@@ -262,6 +262,15 @@ fn client_config() -> ClientConfig {
     }
 }
 
+/// Drains `server` once its reactors have seen every relay close. The
+/// stopped proxy has closed its upstream ends, but a reactor may not
+/// have read the close yet, and a reset connection's truncated line is
+/// counted only when it does.
+fn drain_after_closes(server: ReactorServer) -> DrainStats {
+    wait_until("relay closes", || server.live_connections() == 0);
+    server.drain()
+}
+
 /// Runs one class through the resilient client, one call per query,
 /// sequentially.
 fn run_class(
@@ -300,7 +309,7 @@ fn run_class(
         }
     }
     let proxy_stats = stack.proxy.stop();
-    let drain = stack.server.drain();
+    let drain = drain_after_closes(stack.server);
     ClassResult {
         name,
         outcomes,
@@ -352,7 +361,7 @@ fn run_coalesce_class() -> ClassResult {
         }
     }
     let proxy_stats = stack.proxy.stop();
-    let drain = stack.server.drain();
+    let drain = drain_after_closes(stack.server);
     ClassResult {
         name: "coalesce",
         outcomes,

@@ -142,12 +142,22 @@ impl Explorer {
         self.try_evaluate_points_spanned(points, None)
     }
 
-    /// [`Explorer::try_evaluate_points`] with per-point tracing: when
-    /// `parent` is a span, every point opens a `point` child whose
-    /// order is its input index (so span ids are thread-count
-    /// independent), tagged with its cache outcome
+    /// [`Explorer::try_evaluate_points`] with tracing under `parent`.
+    ///
+    /// A [detailed](Span::detailed) trace gets one `point` child per
+    /// point, whose order is its input index (so span ids are
+    /// thread-count independent), tagged with its cache outcome
     /// (`hit`/`coalesced`/`miss`), its feasibility, and — for fresh
     /// evaluations — the worker it ran on plus `eval.*` leaf spans.
+    ///
+    /// An aggregate trace gets two stage spans per call instead:
+    /// `eval.lookup` (order 0), tagged with the `hits`, `coalesced` and
+    /// `misses` counts, and `eval.fanout` (order 1), covering the
+    /// executor fan-out and the cache inserts, tagged with the
+    /// `evaluated` and `feasible` counts and, when evaluations
+    /// panicked, the `panicked` count and the input index of the first
+    /// (`first_panic`). Per call, not per executor block, so the tree
+    /// does not depend on the thread count either.
     pub fn try_evaluate_points_spanned(
         &self,
         points: &[DesignQuery],
@@ -171,12 +181,19 @@ impl Explorer {
         // duplicate resolution) on top of the cache's own lookups.
         let mut pending: HashMap<CacheKey, usize, BuildFnv> = HashMap::default();
         let mut work: Vec<usize> = Vec::new();
+        // A detailed trace gets per-point spans; an aggregate one gets
+        // the `eval.lookup`/`eval.fanout` stage spans.
+        let per_point = parent.filter(|p| p.detailed());
+        let aggregate = parent.filter(|p| !p.detailed());
+        let mut lookup = aggregate.map(|p| p.child("eval.lookup", 0));
         // Cache-served points record through one batch, flushed into the
         // trace once the loop is done.
-        let served = parent.map(Span::batch);
+        let served = per_point.map(Span::batch);
+        let (mut hits, mut coalesced) = (0usize, 0usize);
         for (i, key) in keys.iter().enumerate() {
             if pending.contains_key(key) {
                 self.cache.note_coalesced_hit();
+                coalesced += 1;
                 if let Some(served) = &served {
                     let mut span = served.child("point", i as u64);
                     span.tag("cache", "coalesced");
@@ -185,6 +202,7 @@ impl Explorer {
             }
             match self.cache.get(key) {
                 Some(cached) => {
+                    hits += 1;
                     if let Some(served) = &served {
                         let mut span = served.child("point", i as u64);
                         span.tag("cache", "hit");
@@ -199,6 +217,12 @@ impl Explorer {
             }
         }
         drop(served);
+        if let Some(lookup) = lookup.as_mut() {
+            lookup.tag("hits", hits);
+            lookup.tag("coalesced", coalesced);
+            lookup.tag("misses", work.len());
+        }
+        drop(lookup);
 
         // Fresh points dispatch in per-worker *blocks*: each block
         // funnels through one batched `evaluate_many` call instead of
@@ -206,28 +230,41 @@ impl Explorer {
         // never interact, so how points group into blocks (which varies
         // with the thread count) cannot change any output bit; results
         // scatter back by input index as before.
+        let mut fanout = aggregate.map(|p| p.child("eval.fanout", 1));
         let queries: Vec<DesignQuery> = work.iter().map(|&i| points[i]).collect();
         let hook = self.eval_hook.as_deref();
         let work_ref = &work;
         let fresh = self
             .executor
             .try_map_blocked(&queries, |worker, start, block| {
-                evaluate_block(worker, start, block, work_ref, parent, hook)
+                evaluate_block(worker, start, block, work_ref, per_point, hook)
             });
         let mut first_panic: Option<(usize, TaskPanic)> = None;
+        let (mut feasible, mut panicked) = (0usize, 0usize);
         for (&i, result) in work.iter().zip(fresh) {
             match result {
                 Ok(result) => {
+                    feasible += usize::from(result.is_ok());
                     self.cache.insert(keys[i], result);
                     resolved[i] = Some(result);
                 }
                 Err(caught) => {
+                    panicked += 1;
                     if first_panic.is_none() {
                         first_panic = Some((i, caught));
                     }
                 }
             }
         }
+        if let Some(fanout) = fanout.as_mut() {
+            fanout.tag("evaluated", work.len() - panicked);
+            fanout.tag("feasible", feasible);
+            if let Some((first, _)) = &first_panic {
+                fanout.tag("panicked", panicked);
+                fanout.tag("first_panic", *first);
+            }
+        }
+        drop(fanout);
         if let Some(first) = first_panic {
             return Err(first);
         }
@@ -531,9 +568,10 @@ fn best_of(query: &Query, feasible: &[DesignEval]) -> Option<DesignEval> {
 /// kernel, preserving the per-point contracts of the old scalar
 /// dispatch:
 ///
-/// * every point opens its `point` span (order = input index, so span
-///   ids stay thread-count independent) *before* the hook runs, and the
-///   span records however far the point got;
+/// * with `parent` (a detailed trace's span), every point opens its
+///   `point` span (order = input index, so span ids stay thread-count
+///   independent) *before* the hook runs, and the span records however
+///   far the point got;
 /// * a panicking [`EvalHook`] fails only its own point — healthy
 ///   block-mates still evaluate (and later enter the cache);
 /// * the `eval.size`/`eval.power` leaf spans and `feasible` tags appear
@@ -925,6 +963,97 @@ mod tests {
         let untraced = Explorer::new(2)
             .run(&Query::new("t", small_ranges(), Objective::MaxFlightTime).with_refinement(1, 3));
         assert_eq!(untraced, answer1);
+    }
+
+    #[test]
+    fn aggregate_traces_answer_identically_and_reconcile_with_the_cache() {
+        use drone_telemetry::{derive_trace_id, Clock, TraceBuilder};
+        let query = Query::new("t", small_ranges(), Objective::MaxFlightTime).with_refinement(1, 3);
+        let run_traced = |threads: usize, detailed: bool| {
+            let explorer = Explorer::new(threads);
+            let builder = TraceBuilder::with_detail(derive_trace_id(7, 1), Clock::sim(), detailed);
+            let answer = {
+                let root = builder.root("serve.request");
+                // Twice, so the second run is served from the cache.
+                let first = root.child("query", 0);
+                explorer.try_run_spanned(&query, Some(&first)).unwrap();
+                let second = root.child("query", 1);
+                let answer = explorer.try_run_spanned(&query, Some(&second)).unwrap();
+                // A batch repeating a cached point (each copy a hit)
+                // and a fresh one (its repeats coalesce).
+                let cached = query.ranges.grid()[0];
+                let fresh = DesignQuery::new(999.0, CellCount::S3, 1234.0);
+                let batch = root.child("batch", 2);
+                let points = [cached, fresh, cached, fresh, fresh];
+                explorer
+                    .try_evaluate_points_spanned(&points, Some(&batch))
+                    .unwrap();
+                answer
+            };
+            let trace = builder.finish();
+            assert_eq!(trace.open_at_finish, 0);
+            assert_eq!(trace.dropped_spans, 0);
+            (explorer, answer, trace)
+        };
+        let untraced = Explorer::new(2).run(&query);
+        let (_, detailed, _) = run_traced(2, true);
+        assert_eq!(detailed, untraced);
+        let mut json1 = None;
+        for threads in [1, 2, 8] {
+            let (explorer, answer, trace) = run_traced(threads, false);
+            assert_eq!(answer, untraced, "{threads} threads");
+            assert_eq!(trace.count_named("point"), 0);
+            // One lookup and one fan-out span per round and batch.
+            let calls = trace.count_named("explore.round") + 1;
+            assert_eq!(trace.count_named("eval.lookup"), calls);
+            assert_eq!(trace.count_named("eval.fanout"), calls);
+            assert_eq!(trace.span_count(), 3 + 3 * calls);
+            assert_eq!(trace.sum_tag("coalesced"), 2.0);
+            // Attribution parity: the lookup tags sum to the counters.
+            let cache = explorer.cache();
+            let hits = trace.sum_tag("hits") + trace.sum_tag("coalesced");
+            assert_eq!(hits, cache.hit_count() as f64, "{threads} threads");
+            assert_eq!(
+                trace.sum_tag("misses"),
+                cache.miss_count() as f64,
+                "{threads} threads"
+            );
+            assert_eq!(trace.sum_tag("evaluated"), cache.miss_count() as f64);
+            assert!(cache.hit_count() > 0 && trace.sum_tag("feasible") > 0.0);
+            let json = trace.deterministic_json().render();
+            let json1 = json1.get_or_insert(json.clone());
+            assert_eq!(
+                json, *json1,
+                "deterministic trace differs at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn an_aggregate_trace_explains_a_panic() {
+        use drone_telemetry::{derive_trace_id, Clock, TagValue, TraceBuilder};
+        let explorer = Explorer::new(2).with_eval_hook(Arc::new(|q: &DesignQuery| {
+            assert!(q.capacity_mah != 3000.0, "poisoned capacity");
+        }));
+        let builder = TraceBuilder::with_detail(derive_trace_id(7, 3), Clock::sim(), false);
+        {
+            let root = builder.root("serve.request");
+            let query =
+                Query::new("bad", small_ranges(), Objective::MaxFlightTime).with_refinement(0, 0);
+            assert!(explorer.try_run_spanned(&query, Some(&root)).is_err());
+        }
+        let trace = builder.finish();
+        assert_eq!(trace.open_at_finish, 0);
+        let fanout = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "eval.fanout")
+            .expect("fan-out span recorded");
+        // Capacity 3000 is the grid's second of five steps at each of
+        // three wheelbases: inputs 1, 6 and 11 panicked.
+        assert_eq!(fanout.tags.get("evaluated"), Some(TagValue::Num(12.0)));
+        assert_eq!(fanout.tags.get("panicked"), Some(TagValue::Num(3.0)));
+        assert_eq!(fanout.tags.get("first_panic"), Some(TagValue::Num(1.0)));
     }
 
     #[test]

@@ -494,7 +494,9 @@ impl Explorer {
     /// [`Explorer::try_optimize`] with causal tracing: each phase
     /// opens a child span under `parent` (`optimize.sample` /
     /// `optimize.round` / `optimize.refine`, orders sequential), and
-    /// every point traces through the engine's per-point spans. With
+    /// every wave traces through
+    /// [`Explorer::try_evaluate_points_spanned`]: per-point spans in a
+    /// detailed trace, stage spans in an aggregate one. With
     /// `parent = None` this *is* `try_optimize`.
     pub fn try_optimize_spanned(
         &self,

@@ -1,15 +1,17 @@
 //! Pins what tracing costs in heap allocations with a counting global
-//! allocator: a traced 768-point cold grid allocates fewer than one
-//! block per 8 points more than the same grid untraced. Spans carry
-//! static names and inline tags and record through block-local
+//! allocator. A detailed trace of a 768-point cold grid allocates fewer
+//! than one block per 8 points more than the same grid untraced: spans
+//! carry static names and inline tags and record through block-local
 //! `SpanBatch` buffers, so the trace's allocations are per block and
-//! per trace, never per span.
+//! per trace, never per span. An aggregate trace records a fixed
+//! handful of stage spans per round, so its extra allocations are a
+//! small constant whatever the point count.
 
 use drone_components::battery::CellCount;
 use drone_components::paper::PAPER_TWR;
 use drone_explorer::query::{GridRange, Objective, Query, QueryRanges};
 use drone_explorer::Explorer;
-use drone_telemetry::{derive_trace_id, Clock, TraceBuilder};
+use drone_telemetry::{derive_trace_id, Clock, Trace, TraceBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,6 +42,30 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     f();
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Extra allocations an aggregate trace of a one-round grid may cost:
+/// the builder, its span table growing to four records, and the sort
+/// in `finish`.
+const AGGREGATE_BUDGET: u64 = 16;
+
+/// Runs `query` on a fresh engine under a new trace, counting the run's
+/// allocations; returns them with the finished trace.
+fn traced_run(query: &Query, detailed: bool) -> (u64, Trace) {
+    let engine = Explorer::new(2);
+    let mut trace = None;
+    let allocations = allocations_during(|| {
+        let builder = TraceBuilder::with_detail(derive_trace_id(7, 1), Clock::wall(), detailed);
+        {
+            let root = builder.root("serve.request");
+            engine.try_run_spanned(query, Some(&root)).unwrap();
+        }
+        trace = Some(builder.finish());
+    });
+    let trace = trace.expect("the run finished its trace");
+    assert_eq!(trace.open_at_finish, 0);
+    assert_eq!(trace.dropped_spans, 0);
+    (allocations, trace)
 }
 
 /// 8 wheelbase x 3 cells x 8 capacity x 4 compute, one round.
@@ -73,19 +99,8 @@ fn tracing_a_cold_grid_allocates_per_block_not_per_span() {
     let untraced = allocations_during(|| {
         untraced_engine.try_run(&query).unwrap();
     });
-    let traced_engine = Explorer::new(2);
-    let mut spans = 0;
-    let traced = allocations_during(|| {
-        let builder = TraceBuilder::new(derive_trace_id(7, 1), Clock::wall());
-        {
-            let root = builder.root("serve.request");
-            traced_engine.try_run_spanned(&query, Some(&root)).unwrap();
-        }
-        let trace = builder.finish();
-        assert_eq!(trace.open_at_finish, 0);
-        assert_eq!(trace.dropped_spans, 0);
-        spans = trace.span_count();
-    });
+    let (traced, trace) = traced_run(&query, true);
+    let spans = trace.span_count();
     // The root, the round, and per point: `point` plus its eval leaves.
     assert!(spans > 2 + points, "only {spans} spans recorded");
     let extra = traced.saturating_sub(untraced);
@@ -94,4 +109,32 @@ fn tracing_a_cold_grid_allocates_per_block_not_per_span() {
         "tracing {points} points ({spans} spans) cost {extra} extra allocations \
          ({traced} traced vs {untraced} untraced); the budget is under one per 8 points"
     );
+
+    // Aggregate: root, round, `eval.lookup` and `eval.fanout`, at this
+    // grid's size and at a twelfth of it.
+    let small = Query::new(
+        "small",
+        QueryRanges {
+            cells: vec![CellCount::S4],
+            capacity_mah: GridRange::new(2000.0, 2250.0, 2),
+            ..query.ranges.clone()
+        },
+        Objective::MaxFlightTime,
+    )
+    .with_refinement(0, 3);
+    for query in [&query, &small] {
+        let points = query.ranges.point_count();
+        let untraced_engine = Explorer::new(2);
+        let untraced = allocations_during(|| {
+            untraced_engine.try_run(query).unwrap();
+        });
+        let (traced, trace) = traced_run(query, false);
+        assert_eq!(trace.span_count(), 4);
+        let extra = traced.saturating_sub(untraced);
+        assert!(
+            extra <= AGGREGATE_BUDGET,
+            "an aggregate trace of {points} points cost {extra} extra allocations \
+             ({traced} traced vs {untraced} untraced); the budget is {AGGREGATE_BUDGET}"
+        );
+    }
 }

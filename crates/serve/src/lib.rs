@@ -48,7 +48,9 @@
 //!
 //! On top of the request path sits the **introspection plane**: every
 //! served request records a causal span tree (deterministic trace ids,
-//! client-stamped or server-derived) into a bounded ring, and two
+//! client-stamped or server-derived; only a client-stamped id buys the
+//! per-point tree, the rest record per-stage aggregates) into a bounded
+//! ring, and two
 //! additional wire request kinds — `{"id":..,"stats":{}}` and
 //! `{"id":..,"trace":{"last":N}}` — let a live client snapshot the
 //! metrics registry, open-connection count and recent span trees

@@ -15,6 +15,14 @@
 //! -> not json
 //! <- {"id":null,"ok":false,"error":{"kind":"parse","message":"..."}}
 //! ```
+//!
+//! A live server records a span tree for every evaluated request. An
+//! optional top-level `"trace_id":"<16 hex>"` names it: a request that
+//! carries one gets the detailed tree (one `point` span per design
+//! point, with `eval.*` leaves), fetched back with
+//! `{"id":2,"trace":{"trace_id":"<16 hex>"}}`. A request without one
+//! gets a server-derived id and an aggregate tree (one `eval.lookup`
+//! and one `eval.fanout` span per evaluation call, tagged with counts).
 
 use drone_components::battery::CellCount;
 use drone_dse::eval::DesignEval;
@@ -151,8 +159,10 @@ pub struct Request {
     /// Client correlation id, echoed verbatim in the reply (`null` when
     /// absent).
     pub id: Json,
-    /// Client-stamped causal trace id (16 hex chars on the wire).
-    /// Absent requests get a deterministic server-derived id.
+    /// Client-stamped causal trace id (16 hex chars on the wire). A
+    /// stamped request records the detailed per-point span tree;
+    /// absent requests get a deterministic server-derived id and a
+    /// per-stage aggregate tree.
     pub trace_id: Option<u64>,
     /// What the request asks for.
     pub body: RequestBody,
@@ -953,7 +963,9 @@ pub fn handle_batch_with(
 }
 
 /// [`handle_batch_with`] plus causal tracing: every evaluated (or
-/// shed) request builds a span tree pushed into `tracing.ring`, and
+/// shed) request builds a span tree pushed into `tracing.ring` —
+/// detailed when the request stamped its own `trace_id`, aggregate
+/// otherwise (see the module docs) — and
 /// introspection requests come back as [`ReplySlot::Admin`] for the
 /// server to resolve against its live state — *after* it has done its
 /// own metric accounting, so a `stats` reply observes the batch it
@@ -1045,6 +1057,9 @@ pub(crate) fn handle_batch_core(
     // `record` runs, then pushes it into the ring. The trace id is the
     // client-stamped one when present, else derived deterministically
     // from the request id — identical at any thread count either way.
+    // Only a client-stamped id buys the per-point tree: a client that
+    // names its trace intends to fetch it, so the server records
+    // per-stage aggregate spans for every other request.
     let trace_request =
         |request: &Request, record: &mut dyn FnMut(Option<&mut drone_telemetry::Span>)| {
             let Some(tracing) = tracing else {
@@ -1054,7 +1069,8 @@ pub(crate) fn handle_batch_core(
             let trace_id = request.trace_id.unwrap_or_else(|| {
                 derive_trace_id_bytes(tracing.seed, request.id.render().as_bytes())
             });
-            let builder = TraceBuilder::new(trace_id, tracing.clock.clone());
+            let detailed = request.trace_id.is_some();
+            let builder = TraceBuilder::with_detail(trace_id, tracing.clock.clone(), detailed);
             let mut root = builder.root("serve.request");
             record(Some(&mut root));
             drop(root);
@@ -1331,6 +1347,74 @@ mod tests {
         assert_eq!(trace.count_named("point"), 15);
         assert_eq!(trace.open_at_finish, 0);
         assert_eq!(trace.root_tag("outcome"), Some(TagValue::Str("ok")));
+    }
+
+    #[test]
+    fn only_a_stamped_trace_id_buys_the_per_point_tree() {
+        use drone_telemetry::{derive_trace_id, derive_trace_id_bytes, id_hex, Trace, TraceRing};
+        let unstamped = minimal_line();
+        let trace_id = derive_trace_id(7, 7);
+        let stamped = unstamped.replacen(
+            r#""id":7,"#,
+            &format!(r#""id":7,"trace_id":"{}","#, id_hex(trace_id)),
+            1,
+        );
+        // Each copy runs on a fresh engine, so both trees start cold.
+        let serve = |line: &str| -> (String, Trace) {
+            let ring = TraceRing::new(1);
+            let tracing = BatchTracing {
+                ring: &ring,
+                clock: Clock::sim(),
+                seed: 7,
+            };
+            let (slots, _) = handle_batch_traced(
+                &engine(),
+                &[line],
+                &QueryLimits::default(),
+                BatchPolicy::default(),
+                &tracing,
+            );
+            let [ReplySlot::Line(reply)] = &slots[..] else {
+                panic!("one reply line");
+            };
+            (reply.clone(), ring.last(1).remove(0))
+        };
+        let (aggregate_reply, aggregate) = serve(&unstamped);
+        let (detailed_reply, detailed) = serve(&stamped);
+        assert_eq!(aggregate_reply, detailed_reply, "reply bytes must not move");
+
+        assert_eq!(
+            aggregate.trace_id,
+            derive_trace_id_bytes(7, b"7"),
+            "server-derived id"
+        );
+        assert_eq!(aggregate.span_count(), 4, "root, round, lookup, fanout");
+        assert_eq!(aggregate.count_named("point"), 0);
+        assert_eq!(aggregate.count_named("eval.lookup"), 1);
+        assert_eq!(aggregate.count_named("eval.fanout"), 1);
+        assert_eq!(aggregate.depth(), 3);
+
+        assert_eq!(detailed.trace_id, trace_id);
+        assert_eq!(detailed.count_named("point"), 15);
+        assert_eq!(detailed.count_named("eval.lookup"), 0);
+        // The stage counts say what the per-point tags say.
+        assert_eq!(aggregate.sum_tag("hits"), 0.0);
+        assert_eq!(
+            aggregate.sum_tag("misses"),
+            detailed.count_tagged("cache", "miss") as f64
+        );
+        assert_eq!(
+            aggregate.sum_tag("evaluated"),
+            detailed.count_named("eval.size") as f64
+        );
+        assert_eq!(
+            aggregate.sum_tag("feasible"),
+            detailed.count_named("eval.power") as f64
+        );
+        for trace in [&aggregate, &detailed] {
+            assert_eq!(trace.root_tag("outcome"), Some(TagValue::Str("ok")));
+            assert_eq!(trace.open_at_finish, 0);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! validate emitted artifacts. Insertion order is preserved in objects,
 //! which is what gives `BENCH_*.json` files their stable key order.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects preserve insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,7 +212,8 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 /// for non-finite numbers, so those degrade to `null`.
 fn write_number(out: &mut String, n: f64) {
     if n.is_finite() {
-        out.push_str(&format!("{n}"));
+        // Formats in place: writing to a `String` cannot fail.
+        let _ = write!(out, "{n}");
     } else {
         out.push_str("null");
     }
@@ -227,7 +228,9 @@ fn write_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -585,6 +588,38 @@ mod tests {
         assert!(Json::parse(&siblings).is_ok());
         let too_deep = format!("{}1{}", "[".repeat(129), "]".repeat(129));
         assert!(Json::parse(&too_deep).is_err());
+    }
+
+    #[test]
+    fn numbers_and_control_escapes_render_as_format_does() {
+        let numbers = [
+            0.0,
+            -0.0,
+            1.0,
+            -42.0,
+            768.0,
+            9_007_199_254_740_993.0,
+            0.1,
+            -1.25e-9,
+            1.0 / 3.0,
+            1e21,
+            1e-7,
+            f64::MIN_POSITIVE,
+            // Subnormals: the smallest, and one near the normal range.
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for n in numbers {
+            assert_eq!(Json::Num(n).render(), format!("{n}"), "{n:e}");
+        }
+        for c in ['\u{0}', '\u{1}', '\u{1b}', '\u{1f}'] {
+            assert_eq!(
+                Json::from(c.to_string()).render(),
+                format!("\"\\u{:04x}\"", c as u32)
+            );
+        }
     }
 
     #[test]

@@ -19,10 +19,18 @@
 //! * **Closed exactly once.** A span records only from `Drop`, so
 //!   unwinding (a poisoned eval panicking mid-batch) still closes it,
 //!   and it cannot be recorded twice.
-//! * **Cheap enough to leave on.** The server traces every request, so
-//!   a span allocates nothing: its name is a `&'static str` and its
-//!   tags are inline `Copy` [`TagValue`]s. Hot loops open spans through
-//!   a [`SpanBatch`] ([`Span::batch`]): the batch's spans and all their
+//! * **Cheap enough to leave on: aggregate by default, detail on
+//!   request.** The server traces every request, but a trace carries a
+//!   *detail bit* fixed when its [`TraceBuilder`] is built and read
+//!   through [`Span::detailed`]. Hot loops consult it: an aggregate
+//!   trace records one span per stage, tagged with the stage's counts,
+//!   where a detailed trace records one span per item. The server
+//!   builds a request's trace detailed only when the client stamped
+//!   its own `trace_id`, so an operator who wants a per-point tree
+//!   stamps the request and fetches that id. Either way a span
+//!   allocates nothing: its name is a `&'static str` and its tags are
+//!   inline `Copy` [`TagValue`]s. Per-item spans go through a
+//!   [`SpanBatch`] ([`Span::batch`]): the batch's spans and all their
 //!   descendants record into a buffer private to the batch, which
 //!   flushes into the trace under one lock when the batch drops, with
 //!   the span capacity applied there. Spans opened straight from a
@@ -251,6 +259,8 @@ pub struct SpanRecord {
 
 struct TraceCore {
     trace_id: u64,
+    /// Whether hot loops record one span per item (see the module docs).
+    detailed: bool,
     clock: Clock,
     capacity: usize,
     spans: Mutex<Vec<SpanRecord>>,
@@ -368,18 +378,30 @@ pub struct TraceBuilder {
 }
 
 impl TraceBuilder {
-    /// A builder for `trace_id`, timing spans on `clock`, retaining at
-    /// most [`MAX_SPANS_PER_TRACE`] spans.
+    /// A detailed builder for `trace_id`, timing spans on `clock`,
+    /// retaining at most [`MAX_SPANS_PER_TRACE`] spans.
     pub fn new(trace_id: u64, clock: Clock) -> TraceBuilder {
-        TraceBuilder::with_capacity(trace_id, clock, MAX_SPANS_PER_TRACE)
+        TraceBuilder::with_detail(trace_id, clock, true)
     }
 
-    /// A builder with an explicit span capacity (tests shrink it to
-    /// exercise the drop counter).
+    /// A builder whose spans report `detailed` from [`Span::detailed`]:
+    /// `false` asks hot loops for one aggregate span per stage instead
+    /// of one span per item.
+    pub fn with_detail(trace_id: u64, clock: Clock, detailed: bool) -> TraceBuilder {
+        TraceBuilder::build(trace_id, clock, MAX_SPANS_PER_TRACE, detailed)
+    }
+
+    /// A detailed builder with an explicit span capacity (tests shrink
+    /// it to exercise the drop counter).
     pub fn with_capacity(trace_id: u64, clock: Clock, capacity: usize) -> TraceBuilder {
+        TraceBuilder::build(trace_id, clock, capacity, true)
+    }
+
+    fn build(trace_id: u64, clock: Clock, capacity: usize, detailed: bool) -> TraceBuilder {
         TraceBuilder {
             core: Arc::new(TraceCore {
                 trace_id,
+                detailed,
                 clock,
                 capacity,
                 spans: Mutex::new(Vec::new()),
@@ -468,6 +490,13 @@ impl Span {
     /// The id of the trace this span belongs to.
     pub fn trace_id(&self) -> u64 {
         self.sink.trace().trace_id
+    }
+
+    /// Whether this span's trace wants one span per item (`true`) or
+    /// one aggregate span per stage (`false`); fixed when its
+    /// [`TraceBuilder`] was built.
+    pub fn detailed(&self) -> bool {
+        self.sink.trace().detailed
     }
 
     /// Opens a child span. `order` is the child's structural index
@@ -659,6 +688,19 @@ impl Trace {
     /// Spans with this name.
     pub fn count_named(&self, name: &str) -> usize {
         self.spans.iter().filter(|s| s.name == name).count()
+    }
+
+    /// The sum of every numeric tag under `key`, across all spans —
+    /// how an aggregate trace's stage counts add up.
+    pub fn sum_tag(&self, key: &str) -> f64 {
+        self.spans
+            .iter()
+            .flat_map(|s| s.tags.iter())
+            .filter_map(|(k, v)| match v {
+                TagValue::Num(n) if k == key => Some(n),
+                _ => None,
+            })
+            .sum()
     }
 
     /// The first tag value on the root span with this key.
@@ -907,6 +949,29 @@ mod tests {
         assert!(!det.contains("start_s"));
         assert!(det.contains("\"cache\":\"miss\""));
         assert_eq!(trace.count_tagged("cache", "miss"), 1);
+    }
+
+    #[test]
+    fn the_detail_bit_reaches_every_span_and_tags_sum() {
+        for detailed in [false, true] {
+            let builder = TraceBuilder::with_detail(3, Clock::sim(), detailed);
+            {
+                let root = builder.root("r");
+                assert_eq!(root.detailed(), detailed);
+                let batch = root.batch();
+                for i in 0..3u64 {
+                    let mut span = batch.child("p", i);
+                    assert_eq!(span.child("leaf", 0).detailed(), detailed);
+                    span.tag("hits", i);
+                    span.tag("cache", "hit");
+                }
+            }
+            let trace = builder.finish();
+            assert_eq!(trace.sum_tag("hits"), 3.0);
+            assert_eq!(trace.sum_tag("cache"), 0.0, "string tags do not sum");
+            assert_eq!(trace.sum_tag("absent"), 0.0);
+        }
+        assert!(sim_builder(4).root("r").detailed(), "`new` stays detailed");
     }
 
     #[test]

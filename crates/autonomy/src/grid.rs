@@ -5,10 +5,9 @@
 //! style counting keeps single spurious returns from flipping cells.
 
 use drone_math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Tri-state cell classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellState {
     /// Never observed.
     Unknown,
@@ -29,7 +28,7 @@ pub enum CellState {
 /// assert_eq!(g.state(5, 5), CellState::Occupied);
 /// assert_eq!(g.state(0, 0), CellState::Unknown);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OccupancyGrid {
     width: usize,
     height: usize,

@@ -4,10 +4,9 @@
 
 use drone_math::{Pcg32, Vec3};
 use drone_sim::RigidBodyState;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned box obstacle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Obstacle {
     /// Minimum corner.
     pub min: Vec3,
@@ -65,7 +64,7 @@ impl Obstacle {
 }
 
 /// A static world of box obstacles for the LiDAR to see.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ObstacleWorld {
     /// The obstacles.
     pub obstacles: Vec<Obstacle>,
@@ -98,7 +97,7 @@ impl ObstacleWorld {
 }
 
 /// One LiDAR return.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LidarReturn {
     /// Beam azimuth in the world frame, rad.
     pub azimuth: f64,
@@ -123,7 +122,7 @@ pub struct LidarReturn {
 /// let scan = lidar.scan(&world, &RigidBodyState::at_altitude(10.0));
 /// assert!(scan.iter().any(|r| r.hit));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lidar {
     beams: usize,
     max_range: f64,

@@ -62,8 +62,8 @@ const BYTES_PER_SIZING_ITER: u64 = (6 + 2 + 2 + 4 + 2) * 8 + 2;
 /// Lane bytes to set a point up (13 lanes) and read it back out (~6).
 const BYTES_PER_POINT: u64 = 19 * 8;
 
-/// The same grid `benches/explorer.rs` sweeps: 24 wheelbases x 3 cell
-/// counts x 24 capacities x 3 compute powers x 2 payloads.
+/// A 10 368-point Figure 10-style grid: 24 wheelbases x 3 cell counts
+/// x 24 capacities x 3 compute powers x 2 payloads.
 fn sweep_grid() -> Vec<DesignQuery> {
     QueryRanges {
         wheelbase_mm: GridRange::new(100.0, 800.0, 24),

@@ -7,7 +7,6 @@
 //! from 250 commercial batteries.
 
 use crate::units::{Amps, Grams, MilliampHours, Volts, WattHours};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Nominal LiPo cell voltage (V/cell).
@@ -18,7 +17,7 @@ pub const CELL_NOMINAL_VOLTS: f64 = 3.7;
 pub const LIPO_DRAIN_LIMIT: f64 = 0.85;
 
 /// Series cell count of a LiPo pack (`xS` in the `xSyP` convention).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CellCount {
     /// 1 cell, 3.7 V.
     S1,
@@ -84,7 +83,7 @@ impl fmt::Display for CellCount {
 /// assert!((b.nominal_voltage().0 - 11.1).abs() < 1e-9);
 /// assert!(b.weight.0 > 200.0 && b.weight.0 < 300.0); // ≈ 0.074·3000 + 16.9
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     /// Series cell configuration.
     pub cells: CellCount,

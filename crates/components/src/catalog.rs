@@ -14,10 +14,9 @@ use crate::esc::{Esc, EscClass};
 use crate::frame::Frame;
 use crate::units::{Amps, Grams, MilliampHours, Millimeters};
 use drone_math::{LinearFit, Pcg32};
-use serde::{Deserialize, Serialize};
 
 /// Population sizes for a synthesized catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CatalogSize {
     /// Number of batteries (paper: 250 across all cell counts).
     pub batteries: usize,
@@ -50,7 +49,7 @@ impl Default for CatalogSize {
 /// let fit = catalog.battery_fit(CellCount::S6).unwrap();
 /// assert!(fit.r_squared > 0.8);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Catalog {
     /// Battery population.
     pub batteries: Vec<Battery>,

@@ -8,11 +8,10 @@
 
 use crate::paper::{table4, Table4Group};
 use crate::units::{Grams, Watts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Capability class of a compute board (paper Table 4 grouping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComputeClass {
     /// Inner-loop-only flight controller (STM32-class, <~2 W).
     Basic,
@@ -39,7 +38,7 @@ impl fmt::Display for ComputeClass {
 /// assert_eq!(rpi.name, "Raspberry Pi 4");
 /// assert!(rpi.power.0 <= 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeBoard {
     /// Product name.
     pub name: String,
@@ -116,7 +115,7 @@ impl fmt::Display for ComputeBoard {
 }
 
 /// Kind of external sensor payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensorKind {
     /// Analog first-person-view camera (≤1 W).
     FpvCamera,
@@ -132,7 +131,7 @@ pub enum SensorKind {
 
 /// An external sensor line item: weight always counts against lift; power
 /// counts against the main battery only when not self-powered.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExternalSensor {
     /// Product or generic name.
     pub name: String,

@@ -9,11 +9,10 @@
 //! missions.
 
 use crate::units::{Amps, Grams};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Thermal class of an ESC (paper Figure 8a grouping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EscClass {
     /// Rated for sustained missions; heavier MOSFETs and caps.
     LongFlight,
@@ -40,7 +39,7 @@ impl fmt::Display for EscClass {
 /// // Figure 8a: four long-flight 30 A ESCs weigh ≈ 4.97·30 − 15.8 ≈ 133 g.
 /// assert!((esc.set_of_four_weight().0 - 133.3).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Esc {
     /// Thermal class.
     pub class: EscClass,

@@ -7,7 +7,6 @@
 //! frames, with sub-200 mm frames scattering between 50 g and 200 g.
 
 use crate::units::{Grams, Millimeters};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A quadcopter airframe.
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert!((f.weight.0 - (1.2767 * 450.0 - 167.6)).abs() < 1e-9);
 /// assert!((f.max_propeller_inches() - 10.0).abs() < 1.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frame {
     /// Diagonal wheelbase.
     pub wheelbase: Millimeters,

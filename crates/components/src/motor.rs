@@ -9,7 +9,6 @@
 
 use crate::propeller::Propeller;
 use crate::units::{Amps, Grams, Volts, Watts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Fraction of the no-load RPM a loaded propeller-driving motor sustains
@@ -33,7 +32,7 @@ pub const MOTOR_EFFICIENCY: f64 = 0.80;
 /// // The classic 935 Kv class used on 450 mm frames.
 /// assert!((600.0..1500.0).contains(&motor.kv_rpm_per_volt), "Kv {}", motor.kv_rpm_per_volt);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Motor {
     /// Velocity constant: no-load RPM per volt.
     pub kv_rpm_per_volt: f64,
@@ -44,7 +43,7 @@ pub struct Motor {
 }
 
 /// A steady-state operating point of a motor+propeller pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Rotation rate, rev/s.
     pub rev_per_s: f64,

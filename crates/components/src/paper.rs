@@ -10,7 +10,6 @@
 use crate::battery::CellCount;
 use crate::units::{Grams, Watts};
 use drone_math::LinearFit;
-use serde::{Deserialize, Serialize};
 
 /// Figure 7 battery weight-vs-capacity line for a cell configuration:
 /// `weight(g) = slope · capacity(mAh) + intercept`.
@@ -78,7 +77,7 @@ pub const HOVER_LOAD_RANGE: (f64, f64) = (0.20, 0.30);
 pub const MANEUVER_LOAD_RANGE: (f64, f64) = (0.60, 0.70);
 
 /// A commercial drone used as a validation point in Figures 10 and 11.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommercialDrone {
     /// Product name.
     pub name: &'static str,
@@ -227,7 +226,7 @@ pub fn best_flight_time_minutes(wheelbase_mm: f64) -> Option<f64> {
 }
 
 /// One row of Table 4 (flight controllers, compute boards, sensors).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Row {
     /// Product name.
     pub name: &'static str,
@@ -240,7 +239,7 @@ pub struct Table4Row {
 }
 
 /// Table 4 grouping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Table4Group {
     /// Basic flight controllers: inner-loop only.
     BasicController,
@@ -375,7 +374,7 @@ pub fn our_drone_weight_breakdown() -> Vec<(&'static str, Grams)> {
 }
 
 /// Table 5 reference: platform comparison for SLAM offload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table5Row {
     /// Platform name.
     pub platform: &'static str,

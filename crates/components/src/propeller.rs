@@ -14,7 +14,6 @@
 //! Kv motors with big props (paper Figure 9 discussion).
 
 use crate::units::Grams;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Sea-level air density, kg/m³.
@@ -33,7 +32,7 @@ pub const FIGURE_OF_MERIT: f64 = 0.65;
 /// let thrust = p.thrust_newtons(100.0); // at 6000 RPM
 /// assert!(thrust > 4.0 && thrust < 9.0, "thrust {thrust}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Propeller {
     /// Diameter in inches (the unit props are sold in).
     pub diameter_in: f64,

@@ -9,7 +9,6 @@
 use crate::pid::Pid;
 use drone_math::{Quat, Vec3};
 use drone_sim::params::QuadcopterParams;
-use serde::{Deserialize, Serialize};
 
 /// Attitude → body-rate → torque controller.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let torque = ctrl.update(Quat::IDENTITY, Vec3::ZERO, target, 0.005);
 /// assert!(torque.x > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttitudeController {
     /// Attitude-error → rate-setpoint proportional gain (1/s).
     pub attitude_gain: Vec3,

@@ -19,11 +19,10 @@ use drone_sim::params::QuadcopterParams;
 use drone_sim::rotor::ROTOR_COUNT;
 use drone_sim::RigidBodyState;
 use drone_telemetry::{Clock, Registry, SharedHistogram};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Update frequencies of the three cascade levels, Hz.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlRates {
     /// High-level position loop rate.
     pub position_hz: f64,
@@ -65,7 +64,7 @@ impl ControlRates {
 }
 
 /// A target handed down by the outer loop (paper Table 1 "set target").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Setpoint {
     /// Hold/reach a world position with the given yaw.
     Position {
@@ -108,7 +107,7 @@ impl Setpoint {
 /// Call [`CascadeController::update`] at the low-level rate; the higher
 /// levels decimate themselves internally, exactly like a real flight
 /// stack's rate groups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CascadeController {
     rates: ControlRates,
     position: PositionController,
@@ -150,7 +149,7 @@ impl PartialEq for TelemetrySink {
 }
 
 /// Diagnostic counters: how often each level actually ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CascadeUpdateCounts {
     /// High-level (position) executions.
     pub position: u64,

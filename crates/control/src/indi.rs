@@ -19,7 +19,6 @@
 
 use drone_math::Vec3;
 use drone_sim::params::QuadcopterParams;
-use serde::{Deserialize, Serialize};
 
 /// INDI body-rate controller (the 1 kHz low level).
 ///
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// let torque = indi.update(Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0), 1e-3);
 /// assert!(torque.x > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndiRateController {
     /// Rate-error → angular-acceleration gain (1/s).
     pub rate_gain: Vec3,

@@ -10,7 +10,6 @@
 use drone_math::Vec3;
 use drone_sim::params::QuadcopterParams;
 use drone_sim::rotor::ROTOR_COUNT;
-use serde::{Deserialize, Serialize};
 
 /// Thrust/torque → per-motor throttle allocator.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// // Pure collective: all four motors equal.
 /// assert!((throttle[0] - throttle[3]).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mixer {
     /// Arm half-spacing `l` (m): rotor offset along each body axis.
     lever: f64,

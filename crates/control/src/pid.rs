@@ -7,7 +7,6 @@
 //! stacks rely on: integral anti-windup clamping, a first-order low-pass
 //! on the derivative term, and symmetric output saturation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single-axis PID controller.
@@ -20,7 +19,7 @@ use std::fmt;
 /// let u = pid.step(1.0, 0.01); // error of 1.0 at dt = 10 ms
 /// assert!(u > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pid {
     /// Proportional gain.
     pub kp: f64,

@@ -10,10 +10,9 @@ use crate::pid::Pid;
 use drone_components::units::STANDARD_GRAVITY;
 use drone_math::{Quat, Vec3};
 use drone_sim::params::QuadcopterParams;
-use serde::{Deserialize, Serialize};
 
 /// Output of the position controller: what the mid/low levels consume.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttitudeThrustCommand {
     /// Attitude setpoint (body→world).
     pub attitude: Quat,
@@ -36,7 +35,7 @@ pub struct AttitudeThrustCommand {
 /// // Below target: needs more than hover thrust.
 /// assert!(cmd.thrust_newtons > params.total_weight().weight_newtons());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PositionController {
     /// Position-error → velocity-setpoint gain (1/s).
     pub position_gain: f64,

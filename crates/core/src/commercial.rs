@@ -9,10 +9,9 @@
 
 use drone_components::paper::{figure11_drones, CommercialDrone};
 use drone_components::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// A commercial drone converted into model terms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommercialPoint {
     /// Product name.
     pub name: String,

@@ -13,14 +13,13 @@ use drone_components::frame::Frame;
 use drone_components::motor::Motor;
 use drone_components::propeller::Propeller;
 use drone_components::units::{Amps, Grams, MilliampHours, Millimeters, Volts, Watts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Wiring/harness weight as a fraction of the electromechanical weight.
 pub(crate) const WIRING_FRACTION: f64 = 0.04;
 
 /// Input specification for a design point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignSpec {
     /// Frame wheelbase, mm.
     pub wheelbase_mm: f64,
@@ -219,7 +218,7 @@ impl fmt::Display for DesignError {
 impl std::error::Error for DesignError {}
 
 /// A fully sized drone: every component selected, weights resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizedDrone {
     /// The input specification.
     pub spec: DesignSpec,

@@ -30,13 +30,12 @@ use drone_components::units::{
 };
 use drone_math::{BuildFnv, LinearFit};
 use drone_telemetry::trace::Span;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// One design point: the six coordinates the paper's Equations 1–7 take
 /// as free variables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignQuery {
     /// Frame wheelbase, mm.
     pub wheelbase_mm: f64,
@@ -113,7 +112,7 @@ impl fmt::Display for DesignQuery {
 }
 
 /// Everything Equations 1–7 say about one feasible design point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignEval {
     /// The evaluated point.
     pub query: DesignQuery,
@@ -247,7 +246,7 @@ pub fn evaluate_many_with(
 /// of the input points, identical at any thread count or batch
 /// partition. The roofline experiment multiplies these by static
 /// per-iteration operation counts to place the kernel on the roofline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchProfile {
     /// Input points in the batch.
     pub points: usize,

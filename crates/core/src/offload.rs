@@ -9,7 +9,6 @@
 use drone_components::units::{Grams, Minutes, Watts};
 use drone_platform::model::Platform;
 use drone_slam::StageProfile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Speedup of a platform over the RPi baseline on a measured profile.
@@ -19,7 +18,7 @@ pub fn platform_speedup(platform: &Platform, profile: &StageProfile) -> f64 {
 }
 
 /// A drone class for the Table 5 gained-flight-time rows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DroneClass {
     /// Class label.
     pub name: &'static str,
@@ -54,7 +53,7 @@ impl DroneClass {
 }
 
 /// One Table 5 row, computed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OffloadRow {
     /// Platform name.
     pub platform: String,

@@ -9,12 +9,11 @@
 use crate::design::SizedDrone;
 use drone_components::battery::LIPO_DRAIN_LIMIT;
 use drone_components::units::{Minutes, WattHours, Watts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Flying activity level, expressed as the paper does: a fraction of the
 /// maximum motor current draw.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlyingLoad {
     /// Low-load hovering: 20–30 % of max draw (§3.2). We use the top of
     /// the band, which matches the physics of hovering at TWR 2
@@ -46,7 +45,7 @@ impl FlyingLoad {
 }
 
 /// The paper's power-model constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Overall power-train efficiency (`%PowerEff` in Eq. 4): ESC
     /// switching losses, voltage sag, connector/wiring resistance.
@@ -118,7 +117,7 @@ impl Default for PowerModel {
 }
 
 /// Where the power goes at a given activity level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// Motor + ESC draw.
     pub propulsion: Watts,

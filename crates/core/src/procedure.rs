@@ -10,11 +10,10 @@ use crate::design::{DesignError, DesignSpec, SizedDrone};
 use crate::power::{FlyingLoad, PowerModel};
 use drone_components::battery::CellCount;
 use drone_components::units::{Grams, MilliampHours, Minutes, Watts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Application requirements, as the top of Figure 12 frames them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Requirements {
     /// Frame wheelbase to start from (the figure: "start with a small
     /// frame"), mm.
@@ -47,7 +46,7 @@ impl Requirements {
 }
 
 /// One step of the executed procedure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step {
     /// Figure 12 box label.
     pub label: String,
@@ -56,7 +55,7 @@ pub struct Step {
 }
 
 /// The full procedure outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcedureReport {
     /// Executed steps in order.
     pub steps: Vec<Step>,
@@ -82,7 +81,7 @@ impl fmt::Display for ProcedureReport {
 
 /// Executes Figure 12 for a requirement set and a candidate compute
 /// optimization (watts saved).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Procedure {
     requirements: Requirements,
     optimization_savings: Watts,

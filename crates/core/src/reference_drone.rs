@@ -9,10 +9,9 @@ use crate::design::{DesignSpec, SizedDrone};
 use drone_components::battery::CellCount;
 use drone_components::paper::our_drone_weight_breakdown;
 use drone_components::units::{Grams, MilliampHours, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Figure 14, as shares of total weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightShare {
     /// Component label.
     pub component: String,

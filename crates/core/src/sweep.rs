@@ -8,10 +8,9 @@
 use crate::eval::{evaluate_many, DesignQuery};
 use drone_components::battery::CellCount;
 use drone_components::units::Minutes;
-use serde::{Deserialize, Serialize};
 
 /// One Figure 10a–c point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Battery cells.
     pub cells: CellCount,
@@ -26,7 +25,7 @@ pub struct SweepPoint {
 }
 
 /// One Figure 10d–f point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FootprintPoint {
     /// Take-off weight, g.
     pub weight_g: f64,
@@ -41,7 +40,7 @@ pub struct FootprintPoint {
 }
 
 /// The sweep over one wheelbase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WheelbaseSweep {
     /// Wheelbase, mm.
     pub wheelbase_mm: f64,

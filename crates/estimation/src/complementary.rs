@@ -8,7 +8,6 @@
 //! STM32-class inner-loop budget.
 
 use drone_math::{Quat, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Gyro-integrating attitude filter with accel/mag correction.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert!(f.attitude().angle_to(drone_math::Quat::IDENTITY) < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComplementaryFilter {
     attitude: Quat,
     accel_gain: f64,

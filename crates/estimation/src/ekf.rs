@@ -7,7 +7,6 @@
 //! workspace's own dense-matrix kernels.
 
 use drone_math::{Matrix, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Navigation filter state and covariance.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// ekf.update_gps(Vec3::new(1.0, 0.0, 5.0));
 /// assert!(ekf.position().x > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NavigationEkf {
     /// State `[px, py, pz, vx, vy, vz]`.
     x: Matrix,

@@ -9,7 +9,6 @@ use drone_components::units::STANDARD_GRAVITY;
 use drone_math::Vec3;
 use drone_sim::RigidBodyState;
 use drone_telemetry::{Clock, Counter, Registry, SharedHistogram};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Full-state estimator over the on-board sensor suite.
@@ -35,7 +34,7 @@ use std::sync::Arc;
 const DEAD_TIMEOUT: [f64; 5] = [0.1, 0.1, 0.5, 0.5, 1.0];
 
 /// Liveness of each sensor channel as seen by the estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SensorHealthReport {
     /// Accelerometer published within its timeout.
     pub accelerometer_ok: bool,
@@ -84,7 +83,7 @@ impl Default for SensorHealthReport {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateEstimator {
     attitude: ComplementaryFilter,
     navigation: NavigationEkf,

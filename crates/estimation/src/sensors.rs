@@ -9,7 +9,6 @@
 use drone_components::units::STANDARD_GRAVITY;
 use drone_math::{Pcg32, Vec3};
 use drone_sim::RigidBodyState;
-use serde::{Deserialize, Serialize};
 
 /// Rates from paper Table 2a, Hz (midpoints of the quoted ranges).
 pub mod rates {
@@ -27,7 +26,7 @@ pub mod rates {
 
 /// One sensor channel of the Table 2a suite. The discriminants index the
 /// suite's internal schedule array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SensorChannel {
     /// Body-frame specific force.
     Accelerometer = 0,
@@ -42,7 +41,7 @@ pub enum SensorChannel {
 }
 
 /// What a faulted channel does while the fault window is active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SensorFaultKind {
     /// The channel stops publishing entirely.
     Dropout,
@@ -59,7 +58,7 @@ pub enum SensorFaultKind {
 ///
 /// Active while `start <= t < start + duration`; use
 /// `f64::INFINITY` for a permanent failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorFault {
     /// Which channel misbehaves.
     pub channel: SensorChannel,
@@ -72,7 +71,7 @@ pub struct SensorFault {
 }
 
 /// Last healthy sample per channel, replayed by `StuckValue` faults.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct HeldReadings {
     accel: Option<Vec3>,
     gyro: Option<Vec3>,
@@ -83,7 +82,7 @@ struct HeldReadings {
 }
 
 /// Noise/bias description of one vector sensor channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelSpec {
     /// Publish rate, Hz.
     pub rate_hz: f64,
@@ -95,7 +94,7 @@ pub struct ChannelSpec {
 
 /// One batch of sensor outputs; `None` means the sensor did not publish
 /// this tick (rate decimation).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SensorReadings {
     /// Body-frame specific force, m/s² (gravity-reactive: reads +g·ẑ at
     /// rest).
@@ -114,7 +113,7 @@ pub struct SensorReadings {
 }
 
 /// The full on-board suite with per-sensor schedules.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SensorSuite {
     accel_spec: ChannelSpec,
     gyro_spec: ChannelSpec,

@@ -183,7 +183,10 @@ impl EvalCache {
         }
     }
 
-    /// Serves a point from the cache or evaluates and stores it.
+    /// Serves a point from the cache or evaluates and stores it, one
+    /// point at a time. The engine goes through `get`/`insert` and the
+    /// batched kernel instead; this scalar route is what `repro
+    /// roofline` times as its `engine_serial_cold` measured mode.
     pub fn get_or_evaluate(&self, query: &DesignQuery) -> CachedEval {
         let key = CacheKey::quantize(query);
         if let Some(cached) = self.get(&key) {

@@ -68,12 +68,6 @@ impl Explorer {
         Explorer::new(crate::executor::default_threads())
     }
 
-    /// Replaces the cache (tests shrink it to exercise eviction).
-    pub fn with_cache(mut self, cache: EvalCache) -> Explorer {
-        self.cache = cache;
-        self
-    }
-
     /// Installs an [`EvalHook`] called before every fresh evaluation —
     /// the fault-injection seam for chaos tests. A hook that panics
     /// turns the whole query into a caught [`TaskPanic`] (see

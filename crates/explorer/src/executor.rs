@@ -3,26 +3,30 @@
 //! Design-point evaluation is embarrassingly parallel but wildly
 //! uneven: infeasible corners fail in microseconds while deep sizing
 //! fixed points iterate for a while. A static split would leave workers
-//! idle, so each worker owns a deque of contiguous index blocks, drains
-//! it from the front, and steals from the *back* of a victim's deque
-//! when its own runs dry — the classic Blumofe/Leiserson discipline,
-//! here with mutexed `VecDeque`s since blocks are coarse enough that
-//! queue traffic is negligible.
+//! idle, so the input is cut into contiguous index blocks, each worker
+//! owns a deque of them, drains it from the front, and steals from the
+//! *back* of a victim's deque when its own runs dry — the classic
+//! Blumofe/Leiserson discipline, here with mutexed `VecDeque`s since
+//! blocks are coarse enough that queue traffic is negligible.
+//!
+//! There is one entry point, [`ParallelExecutor::try_map_blocked`]: the
+//! callback runs once per *block*, so a batched kernel turns a block
+//! into one call. A per-item map is a block callback that maps its
+//! slice item by item.
 //!
 //! **Determinism contract:** results are keyed by the input index, and
 //! the output vector is assembled from those keys — the caller sees
-//! byte-identical output at any thread count, no matter how the blocks
+//! output in input order at any thread count, no matter how the blocks
 //! were interleaved or stolen. Scheduling order is *not* deterministic;
 //! result placement is.
 //!
-//! **Panic isolation contract:** every task body runs inside
-//! [`std::panic::catch_unwind`], so one panicking item cannot kill a
-//! worker thread, poison a deque lock, or take down the other items in
-//! the batch. [`ParallelExecutor::try_map`] surfaces each panic as a
-//! per-index [`TaskPanic`]; [`ParallelExecutor::map`] keeps its classic
-//! contract by re-raising the first one on the calling thread *after*
-//! every worker has parked cleanly. Deque locks recover from poisoning
-//! via `into_inner` semantics as a second line of defense.
+//! **Panic isolation contract:** every block runs inside
+//! [`std::panic::catch_unwind`], so one panicking block cannot kill a
+//! worker thread, poison a deque lock, or take down the other blocks of
+//! the batch; its slots surface as [`TaskPanic`]s. Callers wanting
+//! per-item isolation catch inside the callback. Deque locks recover
+//! from poisoning via `into_inner` semantics as a second line of
+//! defense.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -109,144 +113,6 @@ impl ParallelExecutor {
         self.threads
     }
 
-    /// Applies `f` to every item and returns the results **in input
-    /// order**, regardless of which worker computed what.
-    ///
-    /// `f` receives `(index, &item)`; it must be pure with respect to
-    /// the output (side effects run in nondeterministic order).
-    ///
-    /// # Panics
-    ///
-    /// If any task body panics, the first panic (by input index) is
-    /// re-raised here on the calling thread — but only after every
-    /// worker has finished and parked, so no thread leaks and no lock
-    /// stays poisoned. Callers that want the panic as data use
-    /// [`ParallelExecutor::try_map`].
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.try_map(items, f)
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(value) => value,
-                Err(caught) => panic!("{caught}"),
-            })
-            .collect()
-    }
-
-    /// [`ParallelExecutor::map`] with per-item panic isolation: each
-    /// task body runs inside `catch_unwind`, so a panicking item
-    /// becomes `Err(TaskPanic)` in its own slot while every other item
-    /// still evaluates. Workers never die and deques never poison,
-    /// whatever `f` does.
-    pub fn try_map<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, TaskPanic>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.try_map_located(items, |_, i, item| f(i, item))
-    }
-
-    /// [`ParallelExecutor::try_map`] where the task body also learns
-    /// *which worker* it runs on: `f` receives
-    /// `(worker, index, &item)`. The worker index is scheduling
-    /// -dependent — tracing annotates spans with it but must never let
-    /// it influence the output.
-    pub fn try_map_located<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, TaskPanic>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, usize, &T) -> R + Sync,
-    {
-        let guarded = |worker: usize, i: usize, item: &T| -> Result<R, TaskPanic> {
-            catch_unwind(AssertUnwindSafe(|| f(worker, i, item))).map_err(|payload| TaskPanic {
-                message: panic_message(payload.as_ref()),
-            })
-        };
-        if self.threads == 1 || items.len() <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| guarded(0, i, t))
-                .collect();
-        }
-
-        // Coarse contiguous blocks: a few per worker so stealing has
-        // something to grab without making queue traffic the hot path.
-        let block = items.len().div_ceil(self.threads * 4).max(1);
-        let deques: Vec<Mutex<VecDeque<Range<usize>>>> = (0..self.threads)
-            .map(|_| Mutex::new(VecDeque::new()))
-            .collect();
-        for (b, start) in (0..items.len()).step_by(block).enumerate() {
-            let end = (start + block).min(items.len());
-            lock_deque(&deques[b % self.threads]).push_back(start..end);
-        }
-
-        let mut slots: Vec<Option<Result<R, TaskPanic>>> =
-            std::iter::repeat_with(|| None).take(items.len()).collect();
-        let locals = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|worker| {
-                    let deques = &deques;
-                    let guarded = &guarded;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, Result<R, TaskPanic>)> = Vec::new();
-                        loop {
-                            // Own work first (front), then steal from a
-                            // victim's back. No new blocks ever appear,
-                            // so one empty sweep over every deque means
-                            // this worker is done.
-                            let next = {
-                                let own = lock_deque(&deques[worker]).pop_front();
-                                own.or_else(|| {
-                                    (1..deques.len()).find_map(|offset| {
-                                        let victim = (worker + offset) % deques.len();
-                                        lock_deque(&deques[victim]).pop_back()
-                                    })
-                                })
-                            };
-                            let Some(range) = next else { break };
-                            for i in range {
-                                local.push((i, guarded(worker, i, &items[i])));
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // Task bodies are unwind-caught, so a worker thread
-                    // itself cannot panic; keep the join non-fatal
-                    // anyway so a scheduling bug degrades per item.
-                    h.join().unwrap_or_default()
-                })
-                .collect::<Vec<_>>()
-        });
-        for local in locals {
-            for (i, r) in local {
-                debug_assert!(slots[i].is_none(), "index {i} evaluated twice");
-                slots[i] = Some(r);
-            }
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or_else(|| {
-                    Err(TaskPanic {
-                        message: format!("index {i} was never evaluated (worker died)"),
-                    })
-                })
-            })
-            .collect()
-    }
-
     /// Block-batched dispatch: instead of one call per item, `f` is
     /// invoked once per contiguous *block* `(worker, start, &items
     /// [start..start+len])` and must return exactly one `Result` per
@@ -254,11 +120,10 @@ impl ParallelExecutor {
     /// plug into: a block becomes one `evaluate_many` call instead of
     /// `len` scalar calls.
     ///
-    /// Blocks are the same contiguous ranges [`ParallelExecutor::
-    /// try_map`] schedules (a few per worker, work-stealing between
-    /// them); the serial path hands the whole slice over as one block.
-    /// Results are scattered back by input index, so the output — like
-    /// `try_map`'s — is in input order at any thread count. How items
+    /// Blocks are contiguous ranges, a few per worker so stealing has
+    /// something to grab; the serial path hands the whole slice over as
+    /// one block. Results are scattered back by input index, so the
+    /// output is in input order at any thread count. How items
     /// are *grouped into blocks* does depend on the thread count;
     /// callers needing byte-identical output must use a per-item-
     /// independent `f` (a batched kernel whose lanes never interact
@@ -302,6 +167,8 @@ impl ParallelExecutor {
             return run_block(0, 0..items.len());
         }
 
+        // Coarse contiguous blocks: a few per worker so stealing has
+        // something to grab without making queue traffic the hot path.
         let block = items.len().div_ceil(self.threads * 4).max(1);
         let deques: Vec<Mutex<VecDeque<Range<usize>>>> = (0..self.threads)
             .map(|_| Mutex::new(VecDeque::new()))
@@ -321,6 +188,10 @@ impl ParallelExecutor {
                     scope.spawn(move || {
                         let mut local: Vec<(usize, Vec<Result<R, TaskPanic>>)> = Vec::new();
                         loop {
+                            // Own work first (front), then steal from a
+                            // victim's back. No new blocks ever appear,
+                            // so one empty sweep over every deque means
+                            // this worker is done.
                             let next = {
                                 let own = lock_deque(&deques[worker]).pop_front();
                                 own.or_else(|| {
@@ -340,7 +211,13 @@ impl ParallelExecutor {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().unwrap_or_default())
+                .map(|h| {
+                    // Blocks are unwind-caught, so a worker thread itself
+                    // only panics on a callback returning the wrong
+                    // number of results; keep the join non-fatal so that
+                    // bug surfaces as per-slot errors below.
+                    h.join().unwrap_or_default()
+                })
                 .collect::<Vec<_>>()
         });
         for local in locals {
@@ -371,12 +248,48 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// A per-item map on the block entry point: `f(index, &item)` runs
+    /// under its own `catch_unwind`, so a panic fails only its own slot.
+    fn map_items<T, R, F>(pool: &ParallelExecutor, items: &[T], f: F) -> Vec<Result<R, TaskPanic>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        pool.try_map_blocked(items, |_, start, block| {
+            block
+                .iter()
+                .enumerate()
+                .map(|(k, item)| {
+                    catch_unwind(AssertUnwindSafe(|| f(start + k, item))).map_err(|payload| {
+                        TaskPanic {
+                            message: panic_message(payload.as_ref()),
+                        }
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// [`map_items`] for bodies that never panic.
+    fn map_ok<T, R, F>(pool: &ParallelExecutor, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        map_items(pool, items, f)
+            .into_iter()
+            .map(|slot| slot.unwrap())
+            .collect()
+    }
+
     #[test]
     fn output_is_in_input_order_at_any_thread_count() {
         let items: Vec<u64> = (0..1000).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 3, 8] {
-            let out = ParallelExecutor::new(threads).map(&items, |_, &x| x * x);
+            let out = map_ok(&ParallelExecutor::new(threads), &items, |_, &x| x * x);
             assert_eq!(out, expected, "{threads} threads");
         }
     }
@@ -385,20 +298,20 @@ mod tests {
     fn every_item_runs_exactly_once() {
         let calls = AtomicU64::new(0);
         let items: Vec<usize> = (0..777).collect();
-        let out = ParallelExecutor::new(4).map(&items, |i, &x| {
+        let out = map_ok(&ParallelExecutor::new(4), &items, |i, &x| {
             calls.fetch_add(1, Ordering::Relaxed);
             assert_eq!(i, x);
             i
         });
         assert_eq!(calls.load(Ordering::Relaxed), 777);
-        assert_eq!(out.len(), 777);
+        assert_eq!(out, items);
     }
 
     #[test]
     fn uneven_workloads_still_key_by_index() {
         // Early indices are much slower: the tail gets stolen.
         let items: Vec<u64> = (0..64).collect();
-        let out = ParallelExecutor::new(8).map(&items, |i, &x| {
+        let out = map_ok(&ParallelExecutor::new(8), &items, |i, &x| {
             if i < 8 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
@@ -409,12 +322,10 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs() {
+        let pool = ParallelExecutor::new(4);
         let none: Vec<u32> = vec![];
-        assert!(ParallelExecutor::new(4).map(&none, |_, &x| x).is_empty());
-        assert_eq!(
-            ParallelExecutor::new(4).map(&[41u32], |_, &x| x + 1),
-            vec![42]
-        );
+        assert!(map_ok(&pool, &none, |_, &x| x).is_empty());
+        assert_eq!(map_ok(&pool, &[41u32], |_, &x| x + 1), vec![42]);
     }
 
     #[test]
@@ -426,7 +337,7 @@ mod tests {
     fn try_map_isolates_panics_to_their_own_slot() {
         let items: Vec<u64> = (0..200).collect();
         for threads in [1, 4] {
-            let out = ParallelExecutor::new(threads).try_map(&items, |_, &x| {
+            let out = map_items(&ParallelExecutor::new(threads), &items, |_, &x| {
                 if x % 50 == 7 {
                     panic!("poisoned item {x}");
                 }
@@ -449,33 +360,17 @@ mod tests {
     }
 
     #[test]
-    fn map_reraises_the_first_panic_after_workers_park() {
-        let result = std::panic::catch_unwind(|| {
-            ParallelExecutor::new(4).map(&[1u32, 2, 3], |_, &x| {
-                if x == 2 {
-                    panic!("boom");
-                }
-                x
-            })
-        });
-        let payload = result.unwrap_err();
-        let message = payload.downcast_ref::<String>().expect("string payload");
-        assert!(message.contains("boom"), "{message}");
-    }
-
-    #[test]
     fn a_panicking_batch_leaves_the_executor_reusable() {
         let pool = ParallelExecutor::new(4);
         let items: Vec<u32> = (0..64).collect();
-        let first = pool.try_map(&items, |_, &x| {
-            if x % 2 == 0 {
-                panic!("even");
-            }
-            x
+        // Every block panics outright, then a fresh map on the same
+        // pool still works normally.
+        let first = pool.try_map_blocked(&items, |_, _, _| -> Vec<Result<u32, TaskPanic>> {
+            panic!("whole block")
         });
-        assert_eq!(first.iter().filter(|r| r.is_err()).count(), 32);
-        // The pool (and a fresh map on it) still works normally.
-        let second = pool.map(&items, |_, &x| x + 1);
+        assert_eq!(first.len(), 64);
+        assert!(first.iter().all(|r| r.is_err()));
+        let second = map_ok(&pool, &items, |_, &x| x + 1);
         assert_eq!(second, (1..=64).collect::<Vec<u32>>());
     }
 
@@ -484,12 +379,16 @@ mod tests {
         let items: Vec<u64> = (0..300).collect();
         for threads in [1, 4] {
             let pool = ParallelExecutor::new(threads);
-            let out = pool.try_map_located(&items, |worker, i, &x| {
+            let out = pool.try_map_blocked(&items, |worker, start, block| {
                 assert!(worker < threads, "worker {worker} out of range");
                 if threads == 1 {
                     assert_eq!(worker, 0, "serial path pins worker 0");
                 }
-                (worker, x + i as u64)
+                block
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &x)| Ok((worker, x + (start + k) as u64)))
+                    .collect()
             });
             let values: Vec<u64> = out.into_iter().map(|r| r.unwrap().1).collect();
             assert_eq!(values, (0..300).map(|x| x * 2).collect::<Vec<u64>>());
@@ -499,6 +398,7 @@ mod tests {
     #[test]
     fn blocked_map_matches_per_item_map_at_any_thread_count() {
         let items: Vec<u64> = (0..1003).collect();
+        // The serial per-item reference.
         let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 8] {
             let out = ParallelExecutor::new(threads).try_map_blocked(&items, |_, start, block| {

@@ -6,9 +6,10 @@
 //! over the same SWaP-constrained UAV space. Four pieces compose:
 //!
 //! * [`executor`] — a deterministic work-stealing [`ParallelExecutor`]
-//!   over `std::thread`: per-worker deques, steal-from-the-back, results
-//!   keyed by input index so output is byte-identical at any thread
-//!   count.
+//!   over `std::thread` with one entry point,
+//!   [`ParallelExecutor::try_map_blocked`]: per-worker deques of index
+//!   blocks, steal-from-the-back, one callback per block, results keyed
+//!   by input index so output is byte-identical at any thread count.
 //! * [`cache`] — the [`EvalCache`]: sharded memoization of
 //!   [`drone_dse::eval::evaluate`] keyed by quantized design-point
 //!   coordinates, with hit/miss/eviction counters in `drone-telemetry`.

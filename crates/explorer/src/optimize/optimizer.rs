@@ -28,7 +28,6 @@ use drone_math::stats::{argmax, argmin};
 use drone_math::Sense;
 use drone_telemetry::trace::Span;
 use drone_telemetry::{Clock, Counter, Registry, SharedHistogram};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -44,7 +43,7 @@ const MAX_WAVES: usize = 64;
 
 /// One optimization request: find the constrained optimum (and the
 /// feasible Pareto frontier) of a gridded region without sweeping it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeRequest {
     /// Label carried into the answer and reports.
     pub name: String,

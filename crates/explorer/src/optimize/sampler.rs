@@ -10,7 +10,6 @@
 
 use crate::query::{GridRange, QueryRanges};
 use drone_dse::eval::DesignQuery;
-use serde::{Deserialize, Serialize};
 
 use super::lhs::latin_hypercube;
 use super::sobol::SobolSequence;
@@ -20,7 +19,7 @@ use drone_math::rng::Pcg32;
 pub const AXES: usize = 6;
 
 /// A deterministic seeded search strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Independent uniform draws from a seeded PCG32 stream.
     MonteCarlo,

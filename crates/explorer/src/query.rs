@@ -11,12 +11,11 @@
 use drone_components::battery::CellCount;
 use drone_dse::eval::{DesignEval, DesignQuery};
 use drone_math::Sense;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An inclusive `[min, max]` interval sampled at `steps` evenly spaced
 /// values (`steps == 1` pins the coordinate at `min`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridRange {
     /// Lower bound.
     pub min: f64,
@@ -127,7 +126,7 @@ impl GridRange {
 /// it. Untrusted traffic (the `drone-serve` request path) validates
 /// against these; the defaults bound a query to a grid the engine
 /// answers in well under a second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryLimits {
     /// Largest per-axis sample count.
     pub max_steps: usize,
@@ -285,7 +284,7 @@ impl fmt::Display for QueryError {
 impl std::error::Error for QueryError {}
 
 /// The gridded region of design space a query covers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRanges {
     /// Wheelbase, mm.
     pub wheelbase_mm: GridRange,
@@ -403,7 +402,7 @@ impl QueryRanges {
 /// partitioned exactly: the `count` shard grids are disjoint and their
 /// union is the full grid, so per-shard `evaluated` counts sum to the
 /// unsharded total.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// This shard's position in `0..count`.
     pub index: u32,
@@ -428,7 +427,7 @@ impl ShardSpec {
 }
 
 /// Output-side feasibility constraints.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Constraints {
     /// Take-off weight ceiling, g.
     pub max_weight_g: Option<f64>,
@@ -457,7 +456,7 @@ impl Constraints {
 }
 
 /// What the query optimizes among constraint-feasible points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// Longest hover flight time.
     MaxFlightTime,
@@ -487,7 +486,7 @@ impl Objective {
 }
 
 /// One exploration request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Label carried into the answer and reports.
     pub name: String,

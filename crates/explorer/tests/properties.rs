@@ -133,9 +133,19 @@ proptest! {
         // A mapping that depends on both index and value, so any
         // dropped, duplicated, or reordered item changes the output.
         let f = |i: usize, x: &f64| (i, x * x + i as f64);
-        let serial = ParallelExecutor::new(1).map(&items, f);
-        for threads in [2usize, 8] {
-            let parallel = ParallelExecutor::new(threads).map(&items, f);
+        let serial: Vec<(usize, f64)> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        for threads in [1usize, 2, 8] {
+            let parallel: Vec<(usize, f64)> = ParallelExecutor::new(threads)
+                .try_map_blocked(&items, |_, start, block| {
+                    block
+                        .iter()
+                        .enumerate()
+                        .map(|(k, x)| Ok(f(start + k, x)))
+                        .collect::<Vec<Result<_, drone_explorer::TaskPanic>>>()
+                })
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
             prop_assert_eq!(&parallel, &serial, "{} threads diverged", threads);
         }
     }

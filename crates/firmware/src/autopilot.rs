@@ -13,7 +13,6 @@ use drone_math::Vec3;
 use drone_sim::params::QuadcopterParams;
 use drone_sim::rotor::ROTOR_COUNT;
 use drone_telemetry::{Counter, Registry};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,7 +28,7 @@ pub const FAILSAFE_CELL_VOLTS: f64 = 3.3;
 pub const LOW_VOLTAGE_HOLD_SECONDS: f64 = 0.5;
 
 /// One telemetry log entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryRecord {
     /// Firmware time, s.
     pub time: f64,

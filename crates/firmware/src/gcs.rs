@@ -10,7 +10,6 @@
 use crate::mavlink::Message;
 use crate::mission::{Mission, MissionItem};
 use drone_math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// `MAV_CMD_COMPONENT_ARM_DISARM`-style opcode used by [`GroundStation::arm_command`].
 pub const CMD_ARM: u16 = 400;
@@ -79,7 +78,7 @@ fn decode_item(kind: u8, x: f32, y: f32, z: f32, param: f32) -> Option<MissionIt
 }
 
 /// Vehicle-side mission-upload receiver state machine.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MissionReceiver {
     expecting: Option<(u16, Vec<MissionItem>)>,
     received: Option<Mission>,
@@ -153,7 +152,7 @@ impl MissionReceiver {
 }
 
 /// Last-seen vehicle state assembled from the telemetry stream.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VehicleSnapshot {
     /// Position, if a position message has been seen.
     pub position: Option<Vec3>,
@@ -192,7 +191,7 @@ pub struct VehicleSnapshot {
 /// assert_eq!(gcs.upload_result(), Some(0));
 /// assert!(vehicle.take_mission().is_some());
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundStation {
     uploading: Option<Vec<MissionItem>>,
     upload_result: Option<u8>,

@@ -7,8 +7,6 @@
 //! transport: the autopilot feeds it heartbeat arrivals and ticks it at
 //! the firmware rate.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds without a heartbeat before the link is declared lost.
 pub const DEFAULT_LINK_TIMEOUT: f64 = 2.0;
 
@@ -19,7 +17,7 @@ pub const RECONNECT_BACKOFF_INITIAL: f64 = 0.5;
 pub const RECONNECT_BACKOFF_MAX: f64 = 8.0;
 
 /// What the monitor observed during one tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkEvent {
     /// The heartbeat timeout just expired: the link is now lost.
     Lost,
@@ -50,7 +48,7 @@ pub enum LinkEvent {
 /// assert!(events.contains(&LinkEvent::Lost));
 /// assert!(!link.is_connected());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkMonitor {
     timeout: f64,
     /// Seconds since the last heartbeat.

@@ -7,7 +7,6 @@
 //! MAVLink v1, a typed message set, and a resynchronizing stream parser
 //! that survives garbage, truncation and corruption.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Frame start marker (MAVLink v1 uses 0xFE).
@@ -28,7 +27,7 @@ pub fn crc_x25(data: &[u8], seed: u16) -> u16 {
 }
 
 /// Typed telemetry messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Liveness beacon with mode and arming state.
     Heartbeat {

@@ -7,11 +7,10 @@
 use drone_control::Setpoint;
 use drone_math::Vec3;
 use drone_sim::RigidBodyState;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One mission element.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MissionItem {
     /// Climb straight up to `altitude` metres above the start point.
     Takeoff {
@@ -48,7 +47,7 @@ impl fmt::Display for MissionItem {
 }
 
 /// An ordered list of mission items.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mission {
     items: Vec<MissionItem>,
 }
@@ -173,7 +172,7 @@ impl Mission {
 }
 
 /// Progress state of the running mission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MissionProgress {
     /// Executing the item at this index.
     Active {
@@ -185,7 +184,7 @@ pub enum MissionProgress {
 }
 
 /// Walks a [`Mission`] against state estimates, emitting setpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionRunner {
     mission: Mission,
     progress: MissionProgress,

@@ -4,11 +4,10 @@
 //! `Disarmed` to `Mission`; take-off must complete before waypoints; any
 //! armed mode may fall into `Failsafe`, which lands.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Autopilot flight mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlightMode {
     /// Motors off, on the ground.
     Disarmed,
@@ -100,7 +99,7 @@ impl fmt::Display for TransitionError {
 impl std::error::Error for TransitionError {}
 
 /// A mode holder that enforces legal transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModeMachine {
     mode: FlightMode,
 }

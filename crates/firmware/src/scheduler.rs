@@ -9,11 +9,10 @@
 //! utilization.
 
 use drone_telemetry::{Histogram, Json};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A periodic task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Human-readable name.
     pub name: String,
@@ -61,7 +60,7 @@ impl Task {
 }
 
 /// Per-task scheduling outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskReport {
     /// Task name.
     pub name: String,
@@ -131,7 +130,7 @@ impl TaskReport {
 }
 
 /// Whole-run scheduling report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerReport {
     /// Per-task outcomes, in task order.
     pub tasks: Vec<TaskReport>,
@@ -202,7 +201,7 @@ impl fmt::Display for SchedulerReport {
 /// and drop every sheddable task the first time it crosses the
 /// threshold (paper §5.1: the outer loop slipping under co-located SLAM
 /// is the signal; shedding SLAM is the remedy).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShedPolicy {
     /// Name of the task whose miss ratio is monitored.
     pub monitor: String,
@@ -233,7 +232,7 @@ impl ShedPolicy {
 /// still breaching the threshold after the shed settled. The log gives
 /// the flight recorder (and post-mortem readers) the *when* that the
 /// aggregate report discards.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerEvent {
     /// Simulation time of the event, seconds.
     pub at: f64,
@@ -242,7 +241,7 @@ pub struct SchedulerEvent {
 }
 
 /// Result of a simulation run under a [`ShedPolicy`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShedOutcome {
     /// The usual per-task report for the whole run.
     pub report: SchedulerReport,

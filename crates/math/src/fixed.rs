@@ -8,7 +8,6 @@
 //! choice (a DESIGN.md ablation): dot products and small matrix algebra
 //! in Q16.16 versus `f64`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
@@ -18,9 +17,7 @@ const ONE_RAW: i64 = 1 << FRACTIONAL_BITS;
 
 /// A Q16.16 fixed-point number (32.16 internally to keep headroom for
 /// accumulation, saturating at the Q16.16 envelope on conversion).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Q16(i64);
 
 impl Q16 {

@@ -2,7 +2,6 @@
 //! EKF and bundle-adjustment layers need: products, transpose, Cholesky /
 //! LDLT solves, and a Gauss–Jordan inverse for covariance maintenance.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -17,7 +16,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// let c = b.matmul(&a);
 /// assert_eq!(c[(0, 2)], 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -6,10 +6,8 @@
 //! comparisons reduce to; the frontier bookkeeping itself lives in
 //! `drone-explorer`, which composes these primitives.
 
-use serde::{Deserialize, Serialize};
-
 /// The optimization direction of one objective axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     /// Larger values are better (flight time).
     Maximize,

@@ -5,7 +5,6 @@
 //! body-to-world attitude.
 
 use crate::vec3::{Mat3, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Mul;
 
@@ -18,7 +17,7 @@ use std::ops::Mul;
 /// let q = Quat::from_euler(0.0, 0.0, std::f64::consts::FRAC_PI_2);
 /// assert!((q.rotate(Vec3::X) - Vec3::Y).norm() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quat {
     /// Scalar part.
     pub w: f64,

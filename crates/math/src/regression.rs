@@ -4,11 +4,10 @@
 //! commercial component populations (Figures 7, 8a, 8b); this module is the
 //! fitting machinery that re-derives those lines from the synthetic catalog.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A `(x, y)` sample with an optional weight for weighted least squares.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightedPoint {
     /// Abscissa.
     pub x: f64,
@@ -37,7 +36,7 @@ impl WeightedPoint {
 /// assert!((fit.intercept - 1.0).abs() < 1e-12);
 /// assert!(fit.r_squared > 0.999_999);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,

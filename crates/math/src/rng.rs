@@ -5,8 +5,6 @@
 //! Keeping the generator in-tree means every crate produces bit-identical
 //! experiment data from a seed, independent of external crate versions.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic PCG-32 pseudo-random number generator.
 ///
 /// # Example
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = Pcg32::seed_from(42);
 /// assert_eq!(a.next_u32(), b.next_u32());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pcg32 {
     state: u64,
     inc: u64,

@@ -1,6 +1,5 @@
 //! 3-vectors and 3×3 matrices used by the rigid-body and estimation layers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{
@@ -19,7 +18,7 @@ use std::ops::{
 /// let thrust = Vec3::new(0.0, 0.0, 14.7);
 /// assert!((thrust.norm() - 14.7).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component (forward / north, depending on frame).
     pub x: f64,
@@ -291,7 +290,7 @@ impl From<Vec3> for [f64; 3] {
 /// let r = Mat3::identity();
 /// assert_eq!(r * Vec3::X, Vec3::X);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat3 {
     /// Row-major entries: `m[r][c]`.
     pub m: [[f64; 3]; 3],

@@ -7,11 +7,10 @@
 //! per-stage speedups plus power/weight/cost overheads.
 
 use drone_components::units::{Grams, Watts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Broad class of a compute platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformKind {
     /// General-purpose embedded CPU (the RPi-class baseline).
     EmbeddedCpu,
@@ -24,7 +23,7 @@ pub enum PlatformKind {
 }
 
 /// Qualitative cost level (Table 5's integration/fabrication rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CostLevel {
     /// Off-the-shelf.
     Low,
@@ -45,7 +44,7 @@ impl fmt::Display for CostLevel {
 }
 
 /// Per-SLAM-stage speedups over the RPi baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSpeedups {
     /// Feature extraction + matching.
     pub feature_extraction: f64,
@@ -67,7 +66,7 @@ impl StageSpeedups {
 }
 
 /// A SLAM execution platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Product/implementation name.
     pub name: String,

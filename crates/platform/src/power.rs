@@ -8,11 +8,10 @@
 
 use drone_components::units::Watts;
 use drone_math::Pcg32;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Activity phase of the companion compute board.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComputePhase {
     /// Power disconnected.
     Off,
@@ -48,7 +47,7 @@ impl fmt::Display for ComputePhase {
 /// let p = rpi.nominal(ComputePhase::Autopilot);
 /// assert!((p.0 - 3.39).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoardPowerModel {
     idle: Watts,
     autopilot: Watts,

@@ -1,8 +1,6 @@
 //! Gshare branch predictor: global history XOR PC indexing a table of
 //! 2-bit saturating counters.
 
-use serde::{Deserialize, Serialize};
-
 /// A gshare predictor.
 ///
 /// # Example
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// for _ in 0..500 { bp.predict_and_update(0x400, true); }
 /// assert!(bp.miss_rate() < 0.05);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GsharePredictor {
     table: Vec<u8>,
     index_bits: u32,

@@ -1,9 +1,7 @@
 //! Set-associative LRU cache model.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -52,7 +50,7 @@ impl CacheConfig {
 /// assert!(!c.access(0x1000)); // cold miss
 /// assert!(c.access(0x1000));  // now resident
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     /// `tags[set][way]`; `u64::MAX` = invalid.

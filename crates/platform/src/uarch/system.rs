@@ -11,11 +11,10 @@ use crate::uarch::branch::GsharePredictor;
 use crate::uarch::cache::{Cache, CacheConfig};
 use crate::uarch::tlb::Tlb;
 use crate::workload::{Op, SyntheticWorkload};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Core configuration: structures and penalty model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// L1 data cache geometry.
     pub l1: CacheConfig,
@@ -52,7 +51,7 @@ impl Default for CoreConfig {
 }
 
 /// Per-workload performance counters (the Figure 15 vocabulary).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkloadStats {
     /// Workload name.
     pub name: String,

@@ -2,8 +2,6 @@
 //! pages — the structure whose 4.5× miss blow-up the paper measures when
 //! SLAM joins the autopilot (Figure 15 discussion, §5.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Page size assumed by the model (4 KiB, Linux default).
 pub const PAGE_BYTES: u64 = 4096;
 
@@ -17,7 +15,7 @@ pub const PAGE_BYTES: u64 = 4096;
 /// assert!(!tlb.access(0x1000)); // cold
 /// assert!(tlb.access(0x1fff));  // same page
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     entries: Vec<(u64, u64)>, // (page, stamp)
     capacity: usize,

@@ -8,10 +8,9 @@
 //! reproduce the paper's Figure 15 counter picture.
 
 use drone_math::Pcg32;
-use serde::{Deserialize, Serialize};
 
 /// One dynamic instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Register-only arithmetic.
     Alu,
@@ -29,7 +28,7 @@ pub enum Op {
 }
 
 /// Statistical description of a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Display name.
     pub name: String,
@@ -105,7 +104,7 @@ impl WorkloadSpec {
 /// let ops: Vec<_> = (0..100).map(|_| w.next_op()).collect();
 /// assert_eq!(ops.len(), 100);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticWorkload {
     spec: WorkloadSpec,
     rng: Pcg32,

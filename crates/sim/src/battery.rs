@@ -6,7 +6,6 @@
 
 use drone_components::battery::Battery;
 use drone_components::units::{Volts, WattHours, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A battery with live state of charge.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// sim.drain(Watts(130.0), 60.0); // one minute at 130 W
 /// assert!(sim.remaining_fraction() < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatterySim {
     battery: Battery,
     consumed: WattHours,

@@ -12,7 +12,6 @@ use crate::state::RigidBodyState;
 use drone_components::units::{Grams, Watts};
 use drone_math::Vec3;
 use drone_telemetry::{Clock, Counter, Gauge, Registry, SharedHistogram};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Gravitational acceleration vector in the world frame (Z up), m/s².
@@ -23,7 +22,7 @@ pub const GRAVITY: Vec3 = Vec3 {
 };
 
 /// Everything one physics step produces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepOutput {
     /// Rotor aggregate forces during the step.
     pub rotor: RotorForces,
@@ -43,7 +42,7 @@ pub struct StepOutput {
 /// let out = quad.step([quad.hover_throttle(); 4], drone_math::Vec3::ZERO, 1e-3);
 /// assert!(out.total_power.0 > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quadcopter {
     params: QuadcopterParams,
     state: RigidBodyState,

@@ -20,11 +20,10 @@
 use crate::battery::BatterySim;
 use crate::rotor::{RotorSet, ROTOR_COUNT};
 use drone_math::{Pcg32, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One kind of component fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Motor/ESC derating: the rotor produces `effectiveness` (0..1) of
     /// its commanded thrust from the event onward.
@@ -81,7 +80,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// A fault fired at a simulation time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Simulation time the fault fires, seconds.
     pub at: f64,
@@ -101,7 +100,7 @@ pub struct FaultEvent {
 /// }]);
 /// assert_eq!(schedule.remaining(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
     next: usize,

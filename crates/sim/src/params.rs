@@ -9,7 +9,6 @@ use drone_components::motor::Motor;
 use drone_components::propeller::Propeller;
 use drone_components::units::{Grams, MilliampHours, Millimeters, Volts, Watts};
 use drone_math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Complete physical description of a quadcopter build.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((p.total_mass_kg() - 1.1).abs() < 0.3);
 /// assert!(p.thrust_to_weight() >= 1.9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuadcopterParams {
     /// The airframe.
     pub frame: Frame,

@@ -6,12 +6,11 @@
 //! configurable rate and reports the per-phase averages Figure 16 quotes.
 
 use drone_components::units::Watts;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// One logged power sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerSample {
     /// Simulation time, seconds.
     pub time: f64,
@@ -34,7 +33,7 @@ pub struct PowerSample {
 /// meter.record(0.6, Watts(3.41));
 /// assert_eq!(meter.samples().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerMeter {
     sample_interval: f64,
     samples: Vec<PowerSample>,

@@ -21,7 +21,6 @@
 use crate::params::QuadcopterParams;
 use drone_components::units::{Amps, Watts};
 use drone_math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Number of rotors on a quadcopter.
 pub const ROTOR_COUNT: usize = 4;
@@ -41,7 +40,7 @@ pub fn arm_directions() -> [Vec3; ROTOR_COUNT] {
 }
 
 /// Aggregate force/torque/power produced by the rotor set in one step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RotorForces {
     /// Total thrust along body +Z, newtons.
     pub total_thrust: f64,
@@ -54,7 +53,7 @@ pub struct RotorForces {
 }
 
 /// Dynamic state of the four rotors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RotorSet {
     /// Current rotation rates, rev/s.
     speeds: [f64; ROTOR_COUNT],

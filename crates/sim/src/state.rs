@@ -10,11 +10,10 @@
 //! velocity and attitude.
 
 use drone_math::{Quat, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Position, velocity, attitude and body angular rate.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RigidBodyState {
     /// Position in the world frame, metres.
     pub position: Vec3,

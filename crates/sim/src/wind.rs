@@ -7,7 +7,6 @@
 //! stand-in), deterministic per seed.
 
 use drone_math::{Pcg32, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Configurable wind field sampled over time.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let w = wind.sample(0.01);
 /// assert!(w.is_finite());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindModel {
     mean: Vec3,
     gust_intensity: f64,

@@ -12,10 +12,9 @@ use crate::camera::{CameraIntrinsics, CameraPose, Pixel};
 use crate::map::{KeyframeId, LandmarkId, Map};
 use drone_math::optimize::{LeastSquaresProblem, LevenbergMarquardt};
 use drone_math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Result of one bundle-adjustment run (also feeds the cost model).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaReport {
     /// Cost before optimization (½‖r‖²).
     pub initial_cost: f64,

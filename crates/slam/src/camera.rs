@@ -1,10 +1,9 @@
 //! Pinhole camera model and camera poses.
 
 use drone_math::{Quat, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A pixel coordinate (u right, v down).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pixel {
     /// Horizontal coordinate, pixels.
     pub u: f64,
@@ -26,7 +25,7 @@ impl Pixel {
 
 /// Pinhole intrinsics (the EuRoC sensor is a 752×480 global-shutter
 /// camera with ~460 px focal length).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraIntrinsics {
     /// Focal length in x, pixels.
     pub fx: f64,
@@ -95,7 +94,7 @@ impl CameraIntrinsics {
 ///
 /// The rotation maps camera-frame vectors to world-frame vectors; the
 /// camera looks along its +Z axis.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CameraPose {
     /// Camera centre in the world, metres.
     pub position: Vec3,

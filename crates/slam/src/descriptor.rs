@@ -2,13 +2,12 @@
 //! matching and Lowe-style ratio testing.
 
 use drone_math::Pcg32;
-use serde::{Deserialize, Serialize};
 
 /// Number of 64-bit words in a descriptor (256 bits, like ORB).
 pub const DESCRIPTOR_WORDS: usize = 4;
 
 /// A 256-bit binary descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Descriptor(pub [u64; DESCRIPTOR_WORDS]);
 
 impl Descriptor {

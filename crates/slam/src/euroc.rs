@@ -11,11 +11,10 @@
 use crate::camera::{CameraIntrinsics, CameraPose};
 use crate::frame::{render_frame, Frame, SensorNoise, World};
 use drone_math::{Pcg32, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// EuRoC difficulty band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Difficulty {
     /// Slow, well-lit.
     Easy,
@@ -26,7 +25,7 @@ pub enum Difficulty {
 }
 
 /// The eleven EuRoC sequences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Sequence {
     MH01,
@@ -193,7 +192,7 @@ fn lissajous_pose(t: f64, speed: f64, radius: Vec3) -> CameraPose {
 }
 
 /// A generated dataset: world + rendered frames.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Which sequence this is.
     pub sequence: Sequence,

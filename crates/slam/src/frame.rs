@@ -9,10 +9,9 @@
 use crate::camera::{CameraIntrinsics, CameraPose, Pixel};
 use crate::descriptor::Descriptor;
 use drone_math::{Pcg32, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A ground-truth world landmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Landmark {
     /// True position, world frame (m).
     pub position: Vec3,
@@ -21,7 +20,7 @@ pub struct Landmark {
 }
 
 /// The static world the drone flies through.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct World {
     /// All landmarks.
     pub landmarks: Vec<Landmark>,
@@ -61,7 +60,7 @@ impl World {
 }
 
 /// One detected feature in a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     /// Measured pixel position (noisy).
     pub pixel: Pixel,
@@ -75,7 +74,7 @@ pub struct Observation {
 }
 
 /// A rendered camera frame.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Frame {
     /// Frame timestamp, seconds.
     pub timestamp: f64,
@@ -86,7 +85,7 @@ pub struct Frame {
 }
 
 /// Sensor corruption levels used when rendering frames.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorNoise {
     /// Pixel measurement noise σ.
     pub pixel_sigma: f64,

@@ -8,7 +8,6 @@
 use crate::camera::{CameraPose, Pixel};
 use crate::descriptor::Descriptor;
 use drone_math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a map landmark.
 pub type LandmarkId = usize;
@@ -17,7 +16,7 @@ pub type LandmarkId = usize;
 pub type KeyframeId = usize;
 
 /// An estimated landmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MapLandmark {
     /// Estimated world position.
     pub position: Vec3,
@@ -28,7 +27,7 @@ pub struct MapLandmark {
 }
 
 /// One keyframe observation of a map landmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeyframeObservation {
     /// Which landmark.
     pub landmark: LandmarkId,
@@ -37,7 +36,7 @@ pub struct KeyframeObservation {
 }
 
 /// A keyframe: estimated pose plus its landmark observations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Keyframe {
     /// Estimated camera pose.
     pub pose: CameraPose,
@@ -48,7 +47,7 @@ pub struct Keyframe {
 }
 
 /// The SLAM map.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Map {
     landmarks: Vec<MapLandmark>,
     keyframes: Vec<Keyframe>,

@@ -17,12 +17,11 @@ use crate::map::{Keyframe, KeyframeObservation, Map};
 use crate::metrics::{absolute_trajectory_error, relative_pose_error};
 use crate::pose::{absolute_orientation, estimate_pose, Correspondence, PointPair};
 use drone_telemetry::{Clock, Counter, Registry, SharedHistogram};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Pipeline tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Translation from the last keyframe that triggers a new one, m.
     pub keyframe_translation: f64,
@@ -64,7 +63,7 @@ impl Default for PipelineConfig {
 }
 
 /// Virtual RPi-seconds per pipeline stage (Figure 17 categories).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageProfile {
     /// Feature extraction + matching + tracking pose optimization.
     pub feature_matching_s: f64,
@@ -132,7 +131,7 @@ mod cost {
 }
 
 /// Result of running the pipeline over a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Estimated pose per frame.
     pub trajectory: Vec<CameraPose>,

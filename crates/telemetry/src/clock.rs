@@ -2,10 +2,10 @@
 //!
 //! Instrumented code never reads `Instant::now()` directly — it asks the
 //! registry's [`Clock`]. A wall clock measures real compute time (what
-//! the Criterion benches and the SLAM pipeline care about); a sim clock
-//! is advanced explicitly by the simulation loop, so the same `span!`
-//! call sites produce deterministic measurements inside a fixed-step
-//! simulation. Clones share the underlying source, so a clock handed to
+//! the server, the `repro` timing sections and the SLAM pipeline care
+//! about); a sim clock is advanced explicitly by the simulation loop, so
+//! the same `span!` call sites produce deterministic measurements inside
+//! a fixed-step simulation. Clones share the underlying source, so a clock handed to
 //! several subsystems stays coherent.
 
 use std::sync::atomic::{AtomicU64, Ordering};

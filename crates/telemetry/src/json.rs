@@ -1,8 +1,8 @@
 //! A minimal JSON document model with a writer and a parser.
 //!
-//! The workspace's vendored `serde` is a no-op marker (see
-//! `vendor/serde`), so machine-readable artifacts need a real encoder
-//! somewhere. This module is that encoder: an insertion-ordered document
+//! The workspace depends on no serialization crate, so every
+//! machine-readable artifact and wire message goes through this
+//! module: an insertion-ordered document
 //! tree ([`Json`]), a compact and a pretty writer, and a small
 //! recursive-descent parser so round-trips can be tested and CI can
 //! validate emitted artifacts. Insertion order is preserved in objects,

@@ -13,7 +13,7 @@
 //!   updates through `Arc` handles, stable sorted JSON snapshots, and
 //!   RAII [`span!`] timing guards.
 //! * [`clock`] — the wall/sim [`Clock`] spans measure against, so the
-//!   same instrumentation works in Criterion benches (wall time) and
+//!   same instrumentation works on the live server (wall time) and in
 //!   deterministic fixed-step simulations (sim time).
 //! * [`recorder`] — the [`FlightRecorder`] black box: a ring buffer of
 //!   per-tick channel samples (attitude, motor commands, battery, EKF
@@ -25,8 +25,7 @@
 //!   block-local [`SpanBatch`]es, the bounded [`TraceRing`] of
 //!   completed traces).
 //! * [`json`] — the minimal JSON document model behind every export
-//!   (the vendored `serde` is a no-op marker, so artifacts need a real
-//!   encoder; this is it).
+//!   and wire message (the workspace uses no serialization crate).
 //!
 //! # Example
 //!

@@ -137,11 +137,6 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Total ticks ever committed (the next commit gets this id).
-    pub fn next_tick_id(&self) -> u64 {
-        self.next_tick
-    }
-
     /// Opens the staging row for one tick at simulation time `t`.
     /// Unset channels record as NaN (`null` in the dump). The first call
     /// seals channel registration and allocates the ring; subsequent

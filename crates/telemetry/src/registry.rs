@@ -125,12 +125,6 @@ impl Registry {
         SpanGuard::enter(self.histogram(name), self.inner.clock.clone())
     }
 
-    /// Starts a timing span on an already-resolved histogram handle —
-    /// the zero-lookup form for cached hot-path handles.
-    pub fn span_on(&self, histogram: &Arc<SharedHistogram>) -> SpanGuard {
-        SpanGuard::enter(Arc::clone(histogram), self.inner.clock.clone())
-    }
-
     /// One stable JSON object for everything:
     /// `{counters: {...}, gauges: {...}, histograms: {...}}`, keys
     /// sorted by metric name.

@@ -119,7 +119,7 @@ pub fn explore() -> Report {
         lean_compute_query(),
         warm,
     ];
-    let answers = explorer.run_batch(&queries);
+    let answers: Vec<_> = queries.iter().map(|q| explorer.run(q)).collect();
 
     let mut out = format!(
         "Design-space exploration service — {} worker thread(s)\n",

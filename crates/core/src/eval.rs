@@ -326,7 +326,7 @@ pub struct ModelTables {
 }
 
 impl ModelTables {
-    /// Builds the tables for a batch: one [`CellTable`] per cell count
+    /// Builds the tables for a batch: one `CellTable` per cell count
     /// and one geometry entry per unique wheelbase among the points the
     /// scalar kernel would actually size (points outside the TWR or
     /// wheelbase envelope resolve to typed errors before touching any

@@ -3,7 +3,7 @@
 //! The analytical model is cheap per point but query traffic is not:
 //! batch queries overlap (refinement rounds revisit the incumbent,
 //! neighbouring queries share grid corners), so the engine memoizes
-//! [`evaluate`] results — feasible *and* infeasible — behind a sharded
+//! [`evaluate`](drone_dse::eval::evaluate) results — feasible *and* infeasible — behind a sharded
 //! map keyed by quantized design-point coordinates. Shards keep lock
 //! hold times tiny under parallel lookups; hit/miss/eviction counters
 //! surface through `drone-telemetry` as `explorer.cache.*`.

@@ -180,16 +180,13 @@ impl Explorer {
         let per_point = parent.filter(|p| p.detailed());
         let aggregate = parent.filter(|p| !p.detailed());
         let mut lookup = aggregate.map(|p| p.child("eval.lookup", 0));
-        // Cache-served points record through one batch, flushed into the
-        // trace once the loop is done.
-        let served = per_point.map(Span::batch);
         let (mut hits, mut coalesced) = (0usize, 0usize);
         for (i, key) in keys.iter().enumerate() {
             if pending.contains_key(key) {
                 self.cache.note_coalesced_hit();
                 coalesced += 1;
-                if let Some(served) = &served {
-                    let mut span = served.child("point", i as u64);
+                if let Some(p) = per_point {
+                    let mut span = p.child("point", i as u64);
                     span.tag("cache", "coalesced");
                 }
                 continue;
@@ -197,8 +194,8 @@ impl Explorer {
             match self.cache.get(key) {
                 Some(cached) => {
                     hits += 1;
-                    if let Some(served) = &served {
-                        let mut span = served.child("point", i as u64);
+                    if let Some(p) = per_point {
+                        let mut span = p.child("point", i as u64);
                         span.tag("cache", "hit");
                         span.tag("feasible", cached.is_ok());
                     }
@@ -210,7 +207,6 @@ impl Explorer {
                 }
             }
         }
-        drop(served);
         if let Some(lookup) = lookup.as_mut() {
             lookup.tag("hits", hits);
             lookup.tag("coalesced", coalesced);
@@ -331,23 +327,6 @@ impl Explorer {
             t.points.record(answer.evaluated as f64);
         }
         Ok(answer)
-    }
-
-    /// Runs a batch of queries in order, sharing the cache across them.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first caught evaluation panic (see
-    /// [`Explorer::try_run_batch`]).
-    pub fn run_batch(&self, queries: &[Query]) -> Vec<QueryAnswer> {
-        queries.iter().map(|q| self.run(q)).collect()
-    }
-
-    /// [`Explorer::run_batch`] with per-query panic isolation: each
-    /// query gets its own `Result`, so one poisoned query never takes
-    /// down its batch-mates.
-    pub fn try_run_batch(&self, queries: &[Query]) -> Vec<Result<QueryAnswer, TaskPanic>> {
-        queries.iter().map(|q| self.try_run(q)).collect()
     }
 }
 
@@ -572,11 +551,7 @@ fn best_of(query: &Query, feasible: &[DesignEval]) -> Option<DesignEval> {
 ///   exactly as `evaluate_traced` would have recorded them;
 /// * if a degenerate point would panic the kernel itself, the block
 ///   degrades to per-point scalar evaluation so the panic stays in its
-///   own slot with its own message;
-/// * all of the block's spans record through one [`SpanBatch`], which
-///   flushes into the trace once, when the block is done.
-///
-/// [`SpanBatch`]: drone_telemetry::SpanBatch
+///   own slot with its own message.
 fn evaluate_block(
     worker: usize,
     start: usize,
@@ -586,18 +561,10 @@ fn evaluate_block(
     hook: Option<&(dyn Fn(&DesignQuery) + Send + Sync)>,
 ) -> Vec<Result<EvalResult, TaskPanic>> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    // The block's spans record through one batch: declared before
-    // `spans`, so it drops — and flushes into the trace — after them.
-    let batch = parent.map(|p| {
-        let batch = p.batch();
-        // `point`, `eval.size` and `eval.power` per point.
-        batch.reserve(3 * block.len());
-        batch
-    });
     let mut spans: Vec<Option<Span>> = (0..block.len())
         .map(|k| {
-            batch.as_ref().map(|b| {
-                let mut span = b.child("point", input_index[start + k] as u64);
+            parent.map(|p| {
+                let mut span = p.child("point", input_index[start + k] as u64);
                 span.set_worker(worker);
                 span.tag("cache", "miss");
                 span
@@ -847,7 +814,7 @@ mod tests {
         let explorer = Explorer::new(2);
         let a = Query::new("a", small_ranges(), Objective::MaxFlightTime).with_refinement(0, 0);
         let b = Query::new("b", small_ranges(), Objective::MinWeight).with_refinement(0, 0);
-        let answers = explorer.run_batch(&[a, b]);
+        let answers: Vec<QueryAnswer> = [a, b].iter().map(|q| explorer.run(q)).collect();
         assert_eq!(answers.len(), 2);
         // Query b's grid is exactly query a's: all 15 points hit.
         assert_eq!(explorer.cache().hit_count(), 15);
@@ -887,7 +854,10 @@ mod tests {
             Objective::MaxFlightTime,
         )
         .with_refinement(0, 0);
-        let results = explorer.try_run_batch(&[poisoned, healthy.clone()]);
+        let results: Vec<_> = [&poisoned, &healthy]
+            .into_iter()
+            .map(|q| explorer.try_run(q))
+            .collect();
         let caught = results[0].as_ref().unwrap_err();
         assert!(caught.message.contains("poisoned wheelbase"), "{caught}");
         assert!(results[1].as_ref().unwrap().best.is_some());

@@ -15,8 +15,8 @@
 //!   coordinates, with hit/miss/eviction counters in `drone-telemetry`.
 //! * [`pareto`] — incremental [`ParetoFrontier`] maintenance (flight
 //!   time ↑, weight ↓, compute share ↓) and 2-D/3-D extraction.
-//! * [`query`] + [`engine`] — the batch service: [`Query`] requests
-//!   (ranges, constraints, objective) answered by [`Explorer::run_batch`]
+//! * [`query`] + [`engine`] — the query engine: [`Query`] requests
+//!   (ranges, constraints, objective) answered by [`Explorer::run`]
 //!   with adaptive grid refinement around the incumbent optimum and
 //!   per-query latency/point-count histograms.
 //!

@@ -1,11 +1,11 @@
 //! Pins what tracing costs in heap allocations with a counting global
 //! allocator. A detailed trace of a 768-point cold grid allocates fewer
 //! than one block per 8 points more than the same grid untraced: spans
-//! carry static names and inline tags and record through block-local
-//! `SpanBatch` buffers, so the trace's allocations are per block and
-//! per trace, never per span. An aggregate trace records a fixed
-//! handful of stage spans per round, so its extra allocations are a
-//! small constant whatever the point count.
+//! carry static names and inline tags and record into the trace's one
+//! span table, so the trace's allocations are that table's geometric
+//! growth and per-trace bookkeeping, never per span. An aggregate trace
+//! records a fixed handful of stage spans per round, so its extra
+//! allocations are a small constant whatever the point count.
 
 use drone_components::battery::CellCount;
 use drone_components::paper::PAPER_TWR;

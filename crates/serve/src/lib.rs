@@ -14,9 +14,9 @@
 //! - [`protocol`] — pure request/reply code: strict parsing into
 //!   validated [`drone_explorer::Query`] values, typed
 //!   [`protocol::RequestError`]s for every malformed shape, and
-//!   [`protocol::handle_batch`], which coalesces a batch of request
-//!   lines into **one** [`drone_explorer::Explorer::run_batch`] call
-//!   so pipelined queries share the memoization cache.
+//!   [`protocol::handle_batch`], which answers a batch of request
+//!   lines one by one, in input order, against one shared engine, so
+//!   pipelined queries share its memoization cache.
 //! - [`framer`] — incremental newline framing: linear-time watermark
 //!   scanning, one copy per line, `too_large` resynchronization, and
 //!   the `has_partial` ground truth the progress deadlines are armed

@@ -160,7 +160,7 @@ impl ReactorServer {
     /// # Errors
     ///
     /// Fails if the listener cannot bind, or on targets without the
-    /// epoll shims (see [`crate::sys`]).
+    /// epoll shims (see the `sys` module).
     pub fn start(
         engine: Explorer,
         config: ReactorConfig,

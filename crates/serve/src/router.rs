@@ -56,7 +56,7 @@ impl Router {
     /// # Errors
     ///
     /// Fails if the listener cannot bind, or on targets without the
-    /// epoll shims (see [`crate::sys`]).
+    /// epoll shims (see the `sys` module).
     pub fn start(
         make_engine: impl FnMut() -> Explorer,
         config: RouterConfig,

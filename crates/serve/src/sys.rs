@@ -362,6 +362,42 @@ mod tests {
     }
 
     #[test]
+    fn errno_values_map_to_their_io_error_kinds() {
+        assert_eq!(
+            check(-(EINTR as isize)).unwrap_err().kind(),
+            io::ErrorKind::Interrupted
+        );
+        // EAGAIN.
+        assert_eq!(check(-11).unwrap_err().kind(), io::ErrorKind::WouldBlock);
+        assert_eq!(check(3).unwrap(), 3);
+
+        let epoll = Epoll::new().expect("epoll_create1");
+        let efd = EventFd::new().expect("eventfd2");
+        assert_eq!(
+            epoll.delete(efd.raw()).unwrap_err().kind(),
+            io::ErrorKind::NotFound,
+            "ENOENT: the fd was never registered"
+        );
+        epoll.add(efd.raw(), EPOLLIN, 1).expect("ctl add");
+        assert_eq!(
+            epoll.add(efd.raw(), EPOLLIN, 1).unwrap_err().kind(),
+            io::ErrorKind::AlreadyExists,
+            "EEXIST: the fd is already registered"
+        );
+    }
+
+    #[test]
+    fn draining_a_zero_eventfd_is_quiet() {
+        let epoll = Epoll::new().expect("epoll_create1");
+        let efd = EventFd::new().expect("eventfd2");
+        epoll.add(efd.raw(), EPOLLIN, 5).expect("ctl add");
+        // The read fails with EAGAIN, which `drain` swallows.
+        efd.drain();
+        let mut events = vec![EpollEvent::zeroed(); 4];
+        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0, "not ready");
+    }
+
+    #[test]
     fn sockets_report_read_readiness_and_rdhup() {
         use std::io::Write;
         use std::net::{TcpListener, TcpStream};

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the flight simulation.
 //!
 //! The paper's robustness claims — the 85 % LiPo drain limit bounding
-//! every flight, gust rejection in the inner loop (§2.1.3, [22]), and
+//! every flight, gust rejection in the inner loop (§2.1.3, ref. 22), and
 //! graceful degradation when subsystems misbehave — only mean something
 //! if components can actually fail. A [`FaultSchedule`] is a timed list
 //! of [`FaultEvent`]s applied *inside* the physics step so the dynamics,

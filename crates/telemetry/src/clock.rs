@@ -4,9 +4,9 @@
 //! registry's [`Clock`]. A wall clock measures real compute time (what
 //! the server, the `repro` timing sections and the SLAM pipeline care
 //! about); a sim clock is advanced explicitly by the simulation loop, so
-//! the same `span!` call sites produce deterministic measurements inside
-//! a fixed-step simulation. Clones share the underlying source, so a clock handed to
-//! several subsystems stays coherent.
+//! the same timing code produces deterministic measurements inside a
+//! fixed-step simulation. Clones share the underlying source, so a
+//! clock handed to several subsystems stays coherent.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,4 +1,4 @@
-//! The metrics registry and span timing.
+//! The metrics registry.
 //!
 //! Registration takes a short-lived lock and returns an `Arc` handle;
 //! every subsequent update through the handle is a handful of relaxed
@@ -10,7 +10,7 @@ use crate::clock::Clock;
 use crate::json::Json;
 use crate::metrics::{Counter, Gauge, SharedHistogram};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 #[derive(Default)]
 struct Metrics {
@@ -25,7 +25,8 @@ struct RegistryInner {
 }
 
 /// A named collection of counters, gauges and histograms sharing one
-/// [`Clock`].
+/// [`Clock`], which the instrumented components read to time their
+/// stages.
 ///
 /// Cloning a `Registry` is cheap and yields a handle onto the *same*
 /// metrics — what lets a server hold its registry for live `stats`
@@ -38,10 +39,7 @@ struct RegistryInner {
 /// let registry = Registry::with_wall_clock();
 /// let steps = registry.counter("sim.steps");
 /// steps.inc();
-/// {
-///     let _timer = registry.span("ekf.update");
-///     // ... work ...
-/// }
+/// registry.histogram("ekf.update_s").record(0.002);
 /// let snapshot = registry.snapshot();
 /// assert!(snapshot.render().contains("sim.steps"));
 /// ```
@@ -61,12 +59,12 @@ impl Registry {
         }
     }
 
-    /// A registry timing spans against real (monotonic) time.
+    /// A registry on real (monotonic) time.
     pub fn with_wall_clock() -> Registry {
         Registry::new(Clock::wall())
     }
 
-    /// A registry timing spans against an explicitly advanced sim clock.
+    /// A registry on an explicitly advanced sim clock.
     pub fn with_sim_clock() -> Registry {
         Registry::new(Clock::sim())
     }
@@ -120,11 +118,6 @@ impl Registry {
         }
     }
 
-    /// Starts a timing span recording into the named histogram on drop.
-    pub fn span(&self, name: &str) -> SpanGuard {
-        SpanGuard::enter(self.histogram(name), self.inner.clock.clone())
-    }
-
     /// One stable JSON object for everything:
     /// `{counters: {...}, gauges: {...}, histograms: {...}}`, keys
     /// sorted by metric name.
@@ -164,66 +157,6 @@ impl Registry {
     }
 }
 
-/// The process-wide default registry (wall clock). Library code takes a
-/// `&Registry` so tests can isolate, but binaries and macros default to
-/// this one.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::with_wall_clock)
-}
-
-/// An RAII timing guard: measures from construction to drop on the
-/// owning registry's clock and records the elapsed seconds into a
-/// histogram. Guards nest naturally — an enclosing span includes the
-/// time of every span opened inside it.
-#[must_use = "a span guard records on drop; binding it to _ measures nothing"]
-pub struct SpanGuard {
-    histogram: Arc<SharedHistogram>,
-    clock: Clock,
-    start: f64,
-}
-
-impl SpanGuard {
-    fn enter(histogram: Arc<SharedHistogram>, clock: Clock) -> SpanGuard {
-        let start = clock.now();
-        SpanGuard {
-            histogram,
-            clock,
-            start,
-        }
-    }
-
-    /// Seconds elapsed so far (without closing the span).
-    pub fn elapsed(&self) -> f64 {
-        self.clock.now() - self.start
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        self.histogram.record(self.clock.now() - self.start);
-    }
-}
-
-/// Opens a timing span: `span!("name")` on the global registry, or
-/// `span!(registry, "name")` on a specific one. Bind the result to keep
-/// it alive for the region being timed:
-///
-/// ```
-/// use drone_telemetry::{span, Registry};
-/// let registry = Registry::with_wall_clock();
-/// let _timing = span!(&registry, "slam.local_ba");
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::global().span($name)
-    };
-    ($registry:expr, $name:expr) => {
-        ($registry).span($name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,19 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_sim_time() {
-        let registry = Registry::with_sim_clock();
-        {
-            let guard = registry.span("phase");
-            registry.clock().advance(0.125);
-            assert_eq!(guard.elapsed(), 0.125);
-        }
-        let hist = registry.histogram("phase").snapshot();
-        assert_eq!(hist.count(), 1);
-        assert_eq!(hist.max(), Some(0.125));
-    }
-
-    #[test]
     fn reset_zeroes_but_keeps_handles_live() {
         let registry = Registry::with_wall_clock();
         let counter = registry.counter("n");
@@ -275,23 +195,5 @@ mod tests {
         assert_eq!(registry.histogram("h").count(), 0);
         counter.inc();
         assert_eq!(registry.counter("n").get(), 1);
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let a = global().counter("telemetry.test.global");
-        a.add(3);
-        assert!(global().counter("telemetry.test.global").get() >= 3);
-    }
-
-    #[test]
-    fn wall_spans_measure_nonnegative_time() {
-        let registry = Registry::with_wall_clock();
-        {
-            let _guard = span!(&registry, "tick");
-        }
-        let hist = registry.histogram("tick").snapshot();
-        assert_eq!(hist.count(), 1);
-        assert!(hist.max().unwrap() >= 0.0);
     }
 }

@@ -17,7 +17,7 @@
 //!   is what lets `BENCH_trace.json` be byte-compared across
 //!   `--threads 1` and `--threads 4`.
 //! * **Closed exactly once.** A span records only from `Drop`, so
-//!   unwinding (a poisoned eval panicking mid-batch) still closes it,
+//!   unwinding (a poisoned eval panicking mid-block) still closes it,
 //!   and it cannot be recorded twice.
 //! * **Cheap enough to leave on: aggregate by default, detail on
 //!   request.** The server traces every request, but a trace carries a
@@ -29,20 +29,13 @@
 //!   its own `trace_id`, so an operator who wants a per-point tree
 //!   stamps the request and fetches that id. Either way a span
 //!   allocates nothing: its name is a `&'static str` and its tags are
-//!   inline `Copy` [`TagValue`]s. Per-item spans go through a
-//!   [`SpanBatch`] ([`Span::batch`]): the batch's spans and all their
-//!   descendants record into a buffer private to the batch, which
-//!   flushes into the trace under one lock when the batch drops, with
-//!   the span capacity applied there. Spans opened straight from a
-//!   [`Span`] record into the shared trace one by one.
+//!   inline `Copy` [`TagValue`]s. Every span, whichever thread opened
+//!   it, records into the trace's one span table on drop, under one
+//!   short lock, and the span capacity applies there.
 //!
-//! A leaked guard (`mem::forget`) is counted in
-//! [`Trace::open_at_finish`] exactly once, batched or not. A batch
-//! counts as one open guard from creation until its flush; at the
-//! flush it hands that count over to whichever of its spans are still
-//! open, and spans that close after the flush record straight into the
-//! trace. So a guard leaked inside a batch costs nothing but its own
-//! record: its closed siblings still appear.
+//! A leaked guard (`mem::forget`) never records and never closes, so it
+//! is counted in [`Trace::open_at_finish`] exactly once; its closed
+//! siblings and children still appear.
 //!
 //! What is deterministic: the span set, ids, names, parentage, sibling
 //! order, and tags. What is not: wall-clock `start_s`/`end_s` and the
@@ -273,100 +266,15 @@ impl TraceCore {
         self.spans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Keeps records while the trace has room and counts the rest as
-    /// dropped, all under one lock.
-    fn record(&self, records: impl IntoIterator<Item = SpanRecord>) {
+    /// Keeps the record while the trace has room and counts it as
+    /// dropped otherwise.
+    fn record(&self, record: SpanRecord) {
         let mut spans = self.lock();
-        let mut dropped = 0;
-        for record in records {
-            if spans.len() < self.capacity {
-                spans.push(record);
-            } else {
-                dropped += 1;
-            }
+        if spans.len() < self.capacity {
+            spans.push(record);
+        } else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        if dropped > 0 {
-            self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
-    }
-}
-
-struct BatchState {
-    records: Vec<SpanRecord>,
-    /// This batch's spans opened and not yet closed.
-    open: u64,
-    flushed: bool,
-}
-
-/// The buffer behind a [`SpanBatch`]: touched only by the threads that
-/// hold the batch's spans (in practice one executor worker), never by
-/// the trace's other writers.
-struct BatchCore {
-    trace: Arc<TraceCore>,
-    state: Mutex<BatchState>,
-}
-
-impl BatchCore {
-    fn lock(&self) -> MutexGuard<'_, BatchState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Moves the buffered records into the trace and hands the batch's
-    /// own open guard over to its still-open spans. Runs under the
-    /// batch lock, so a span closing concurrently either lands in the
-    /// buffer first or sees `flushed` and records straight into the
-    /// trace.
-    fn flush(&self) {
-        let mut state = self.lock();
-        state.flushed = true;
-        self.trace.record(std::mem::take(&mut state.records));
-        match state.open {
-            0 => self.trace.open.fetch_sub(1, Ordering::AcqRel),
-            open => self.trace.open.fetch_add(open - 1, Ordering::AcqRel),
-        };
-    }
-}
-
-/// Where a span records when it closes.
-#[derive(Clone)]
-enum Sink {
-    /// Straight into the shared trace, one lock per span.
-    Trace(Arc<TraceCore>),
-    /// Into a batch's private buffer until the batch flushes.
-    Batch(Arc<BatchCore>),
-}
-
-impl Sink {
-    fn trace(&self) -> &Arc<TraceCore> {
-        match self {
-            Sink::Trace(trace) => trace,
-            Sink::Batch(batch) => &batch.trace,
-        }
-    }
-
-    fn open(&self) {
-        if let Sink::Batch(batch) = self {
-            let mut state = batch.lock();
-            if !state.flushed {
-                state.open += 1;
-                return;
-            }
-        }
-        self.trace().open.fetch_add(1, Ordering::AcqRel);
-    }
-
-    fn close(&self, record: SpanRecord) {
-        if let Sink::Batch(batch) = self {
-            let mut state = batch.lock();
-            if !state.flushed {
-                state.records.push(record);
-                state.open -= 1;
-                return;
-            }
-        }
-        let trace = self.trace();
-        trace.record(std::iter::once(record));
-        trace.open.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -418,19 +326,18 @@ impl TraceBuilder {
 
     /// Opens the root span (parent 0, order 0).
     pub fn root(&self, name: &'static str) -> Span {
-        Span::open(Sink::Trace(Arc::clone(&self.core)), 0, name, 0)
+        Span::open(Arc::clone(&self.core), 0, name, 0)
     }
 
-    /// Open guards: spans created and not yet dropped, plus batches
-    /// not yet flushed (each counts as one until it hands over).
+    /// Open guards: spans created and not yet dropped.
     pub fn open_spans(&self) -> u64 {
         self.core.open.load(Ordering::Acquire)
     }
 
     /// Closes the trace. Spans are sorted on the total key
     /// `(span_id, parent_id, order, name)` — a deterministic order
-    /// independent of which worker or batch finished first. Guards
-    /// still open at this point are *leaked*; they are counted in
+    /// independent of which worker finished first. Guards still open at
+    /// this point are *leaked*; they are counted in
     /// [`Trace::open_at_finish`] and never appear in the span table.
     pub fn finish(self) -> Trace {
         let mut spans = std::mem::take(&mut *self.core.lock());
@@ -458,19 +365,18 @@ impl TraceBuilder {
 /// once, even when unwinding from a panic.
 #[must_use = "a span records on drop; binding it to _ closes it immediately"]
 pub struct Span {
-    sink: Sink,
+    trace: Arc<TraceCore>,
     /// The record under construction; `end_s` is stamped on drop.
     record: SpanRecord,
 }
 
 impl Span {
-    fn open(sink: Sink, parent_id: u64, name: &'static str, order: u64) -> Span {
-        let trace = sink.trace();
+    fn open(trace: Arc<TraceCore>, parent_id: u64, name: &'static str, order: u64) -> Span {
         let span_id = derive_span_id(trace.trace_id, parent_id, name, order);
         let start_s = trace.clock.now();
-        sink.open();
+        trace.open.fetch_add(1, Ordering::AcqRel);
         Span {
-            sink,
+            trace,
             record: SpanRecord {
                 span_id,
                 parent_id,
@@ -489,42 +395,22 @@ impl Span {
 
     /// The id of the trace this span belongs to.
     pub fn trace_id(&self) -> u64 {
-        self.sink.trace().trace_id
+        self.trace.trace_id
     }
 
     /// Whether this span's trace wants one span per item (`true`) or
     /// one aggregate span per stage (`false`); fixed when its
     /// [`TraceBuilder`] was built.
     pub fn detailed(&self) -> bool {
-        self.sink.trace().detailed
+        self.trace.detailed
     }
 
     /// Opens a child span. `order` is the child's structural index
     /// under this parent (round number, point index, …) and is part of
     /// its id — two children of one parent must not share
-    /// `(name, order)`. A span opened from a batch passes the batch on
-    /// to its children.
+    /// `(name, order)`.
     pub fn child(&self, name: &'static str, order: u64) -> Span {
-        Span::open(self.sink.clone(), self.record.span_id, name, order)
-    }
-
-    /// Opens a batch whose children are children of this span, exactly
-    /// as [`Span::child`] would open them, but record into a buffer
-    /// private to the batch until it drops (see the module docs).
-    pub fn batch(&self) -> SpanBatch {
-        let trace = Arc::clone(self.sink.trace());
-        trace.open.fetch_add(1, Ordering::AcqRel);
-        SpanBatch {
-            core: Arc::new(BatchCore {
-                trace,
-                state: Mutex::new(BatchState {
-                    records: Vec::new(),
-                    open: 0,
-                    flushed: false,
-                }),
-            }),
-            parent_id: self.record.span_id,
-        }
+        Span::open(Arc::clone(&self.trace), self.record.span_id, name, order)
     }
 
     /// Attaches a deterministic annotation. Insertion order is
@@ -543,43 +429,9 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let mut record = std::mem::take(&mut self.record);
-        record.end_s = self.sink.trace().clock.now();
-        self.sink.close(record);
-    }
-}
-
-/// A block of sibling spans that record without touching the shared
-/// trace: opened by [`Span::batch`], flushed into the trace under one
-/// lock when dropped (also when unwinding). Drop it after the spans it
-/// opened, or their records bypass the buffer one lock at a time.
-#[must_use = "a batch flushes on drop; binding it to _ flushes it immediately"]
-pub struct SpanBatch {
-    core: Arc<BatchCore>,
-    parent_id: u64,
-}
-
-impl SpanBatch {
-    /// Opens a child of the span this batch came from; see
-    /// [`Span::child`] for `order`.
-    pub fn child(&self, name: &'static str, order: u64) -> Span {
-        Span::open(
-            Sink::Batch(Arc::clone(&self.core)),
-            self.parent_id,
-            name,
-            order,
-        )
-    }
-
-    /// Sizes the buffer for `spans` more records, so a block whose span
-    /// count is known up front grows it once.
-    pub fn reserve(&self, spans: usize) {
-        self.core.lock().records.reserve(spans);
-    }
-}
-
-impl Drop for SpanBatch {
-    fn drop(&mut self) {
-        self.core.flush();
+        record.end_s = self.trace.clock.now();
+        self.trace.record(record);
+        self.trace.open.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -958,9 +810,8 @@ mod tests {
             {
                 let root = builder.root("r");
                 assert_eq!(root.detailed(), detailed);
-                let batch = root.batch();
                 for i in 0..3u64 {
-                    let mut span = batch.child("p", i);
+                    let mut span = root.child("p", i);
                     assert_eq!(span.child("leaf", 0).detailed(), detailed);
                     span.tag("hits", i);
                     span.tag("cache", "hit");
@@ -987,27 +838,6 @@ mod tests {
         assert_eq!(trace.span_count(), 2);
         assert_eq!(trace.dropped_spans, 3); // 2 children + the root
         assert_eq!(trace.open_at_finish, 0);
-    }
-
-    #[test]
-    fn spans_outliving_their_batch_record_straight_into_the_trace() {
-        let builder = sim_builder(8);
-        {
-            let root = builder.root("r");
-            let batch = root.batch();
-            let early = batch.child("p", 0);
-            let late = batch.child("p", 1);
-            drop(early);
-            assert_eq!(builder.open_spans(), 2, "root + the batch's guard");
-            drop(batch);
-            assert_eq!(builder.open_spans(), 2, "root + `late`, handed over");
-            let _leaf = late.child("leaf", 0);
-            assert_eq!(builder.open_spans(), 3);
-        }
-        let trace = builder.finish();
-        assert_eq!(trace.span_count(), 4);
-        assert_eq!(trace.open_at_finish, 0);
-        assert_eq!(trace.depth(), 3);
     }
 
     /// The renderer before the children index: scans the whole table
@@ -1061,8 +891,8 @@ mod tests {
 
     #[test]
     fn indexed_rendering_matches_the_scanning_renderer() {
-        // A capacity cut leaves orphans; batches, workers, tags and the
-        // sim clock exercise every rendered field.
+        // A capacity cut leaves orphans; workers, tags and the sim
+        // clock exercise every rendered field.
         let clock = Clock::sim();
         let builder = TraceBuilder::with_capacity(21, clock.clone(), 24);
         {
@@ -1070,9 +900,8 @@ mod tests {
             for round in 0..3u64 {
                 let mut round_span = root.child("explore.round", round);
                 round_span.tag("points", 6u64);
-                let batch = round_span.batch();
                 for point in (0..6u64).rev() {
-                    let mut span = batch.child("point", point);
+                    let mut span = round_span.child("point", point);
                     span.set_worker(point as usize % 2);
                     span.tag("cache", if point % 3 == 0 { "hit" } else { "miss" });
                     clock.advance(0.125);

@@ -2,10 +2,10 @@
 //! quantile laws, flight-recorder ring-buffer eviction and dump
 //! integrity, span nesting under the sim clock, JSON scanner
 //! robustness under hostile bytes, and causal-trace well-formedness,
-//! batched or not.
+//! also with children opened from several workers.
 
 use drone_telemetry::{
-    derive_trace_id, Clock, DumpReason, FlightRecorder, Histogram, Json, Registry, TraceBuilder,
+    derive_trace_id, Clock, DumpReason, FlightRecorder, Histogram, Json, TraceBuilder,
 };
 use proptest::prelude::*;
 
@@ -210,104 +210,48 @@ proptest! {
         prop_assert_eq!(build(false), build(true));
     }
 
-    /// Batching changes where spans buffer, never what is recorded: a
-    /// random tree opened through `Span::child` and through
-    /// `SpanBatch::child` (each round's points in one batch, their leaf
-    /// children inheriting it) renders byte-identically.
+    /// Children opened from several scoped workers under one parent,
+    /// the way `evaluate_block` opens its `point` spans, with guards
+    /// leaked at random and a random capacity: every span opened is
+    /// recorded, dropped over capacity or leaked, and each leaked guard
+    /// is counted open exactly once.
     #[test]
-    fn batched_spans_record_the_same_tree(
-        seed in 0u64..1000,
-        fanout in prop::collection::vec(0usize..6, 1..5),
-        leaves in prop::collection::vec(0u64..3, 6..7),
+    fn concurrent_children_account_for_every_guard(
+        capacity in 0usize..48,
+        blocks in prop::collection::vec(prop::collection::vec(any::<bool>(), 0..8), 1..4),
     ) {
-        let build = |batched: bool| {
-            let builder = TraceBuilder::new(derive_trace_id(seed, 1), Clock::sim());
-            {
-                let root = builder.root("serve.request");
-                for (round, &points) in fanout.iter().enumerate() {
-                    let mut round_span = root.child("explore.round", round as u64);
-                    round_span.tag("points", points);
-                    let batch = batched.then(|| round_span.batch());
-                    for (point, &leaf_count) in leaves.iter().enumerate().take(points) {
-                        let mut span = match &batch {
-                            Some(batch) => batch.child("point", point as u64),
-                            None => round_span.child("point", point as u64),
-                        };
-                        span.tag("cache", "miss");
-                        for leaf in 0..leaf_count {
-                            let mut leaf_span = span.child("eval.size", leaf);
-                            leaf_span.tag("feasible", leaf % 2 == 0);
+        let builder = TraceBuilder::with_capacity(derive_trace_id(5, 1), Clock::wall(), capacity);
+        let root = builder.root("serve.request");
+        // Every worker opens its first child only once all have started.
+        let start = std::sync::Barrier::new(blocks.len());
+        std::thread::scope(|scope| {
+            for (worker, leaks) in blocks.iter().enumerate() {
+                let (root, start) = (&root, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for (k, &leak) in leaks.iter().enumerate() {
+                        let mut span = root.child("point", (worker * 8 + k) as u64);
+                        span.set_worker(worker);
+                        span.child("eval.size", 0).tag("feasible", leak);
+                        if leak {
+                            std::mem::forget(span);
                         }
-                        span.tag("feasible", true);
                     }
-                }
+                });
             }
-            let open = builder.open_spans();
-            let trace = builder.finish();
-            let json = trace.deterministic_json().render();
-            (open, trace.span_count(), trace.open_at_finish, trace.dropped_spans, json)
-        };
-        let plain = build(false);
-        prop_assert_eq!(plain.0, 0, "every span closed");
-        prop_assert_eq!(&plain, &build(true));
-    }
-
-    /// A guard leaked inside a batch is counted once, and the batch
-    /// still flushes every sibling that did close.
-    #[test]
-    fn a_guard_leaked_in_a_batch_counts_once(points in 1usize..12, leaked in 0usize..12) {
-        let leaked = leaked % points;
-        let builder = TraceBuilder::new(derive_trace_id(3, 1), Clock::sim());
-        {
-            let root = builder.root("serve.request");
-            let batch = root.batch();
-            for point in 0..points {
-                let mut span = batch.child("point", point as u64);
-                let _leaf = span.child("eval.size", 0);
-                span.tag("cache", "miss");
-                if point == leaked {
-                    std::mem::forget(span);
-                }
-            }
-        }
+        });
+        drop(root);
+        let points: usize = blocks.iter().map(Vec::len).sum();
+        let leaked = blocks.iter().flatten().filter(|&&leak| leak).count();
+        // The root, and per point the point itself and its leaf.
+        let opened = 1 + 2 * points;
         let trace = builder.finish();
-        prop_assert_eq!(trace.open_at_finish, 1);
-        prop_assert_eq!(trace.dropped_spans, 0);
-        // The root, every point but the leaked one, and every leaf.
-        prop_assert_eq!(trace.span_count(), 1 + (points - 1) + points);
-        for point in 0..points {
-            let present = trace
-                .spans
-                .iter()
-                .any(|s| s.name == "point" && s.order == point as u64);
-            prop_assert_eq!(present, point != leaked, "point {}", point);
-        }
-    }
-
-    /// Capacity applies at the batch's flush, and every span past it is
-    /// counted: recorded + dropped = opened, whichever path they took.
-    #[test]
-    fn overflow_through_a_batch_counts_every_drop(
-        capacity in 0usize..16,
-        direct in 0usize..8,
-        batched in 0usize..24,
-    ) {
-        let builder = TraceBuilder::with_capacity(5, Clock::sim(), capacity);
-        {
-            let root = builder.root("serve.request");
-            for i in 0..direct {
-                let _ = root.child("direct", i as u64);
-            }
-            let batch = root.batch();
-            for i in 0..batched {
-                let _ = batch.child("batched", i as u64);
-            }
-        }
-        let opened = 1 + direct + batched;
-        let trace = builder.finish();
-        prop_assert_eq!(trace.span_count(), opened.min(capacity));
-        prop_assert_eq!(trace.dropped_spans as usize, opened - opened.min(capacity));
-        prop_assert_eq!(trace.open_at_finish, 0);
+        prop_assert_eq!(
+            trace.span_count() + trace.dropped_spans as usize,
+            opened - leaked
+        );
+        prop_assert_eq!(trace.span_count(), (opened - leaked).min(capacity));
+        prop_assert_eq!(trace.open_at_finish as usize, leaked);
     }
 
     #[test]
@@ -370,22 +314,23 @@ proptest! {
         inner in 0.0f64..0.5,
         outer_tail in 0.0f64..0.5,
     ) {
-        let registry = Registry::with_sim_clock();
+        let clock = Clock::sim();
+        let builder = TraceBuilder::new(derive_trace_id(9, 1), clock.clone());
         {
-            let _outer = registry.span("outer");
-            registry.clock().advance(outer_head);
+            let outer = builder.root("outer");
+            clock.advance(outer_head);
             {
-                let _inner = registry.span("inner");
-                registry.clock().advance(inner);
+                let _inner = outer.child("inner", 0);
+                clock.advance(inner);
             }
-            registry.clock().advance(outer_tail);
+            clock.advance(outer_tail);
         }
-        let outer = registry.histogram("outer").snapshot();
-        let inner_hist = registry.histogram("inner").snapshot();
-        prop_assert_eq!(outer.count(), 1);
-        prop_assert_eq!(inner_hist.count(), 1);
-        let outer_t = outer.max().unwrap();
-        let inner_t = inner_hist.max().unwrap();
+        let trace = builder.finish();
+        let elapsed = |name: &str| {
+            let span = trace.spans.iter().find(|s| s.name == name).expect("recorded");
+            span.end_s - span.start_s
+        };
+        let (outer_t, inner_t) = (elapsed("outer"), elapsed("inner"));
         prop_assert!((inner_t - inner).abs() < 1e-12);
         // The enclosing span contains its child plus its own work.
         prop_assert!((outer_t - (outer_head + inner + outer_tail)).abs() < 1e-12);

@@ -254,6 +254,65 @@ proptest! {
         prop_assert_eq!(trace.open_at_finish as usize, leaked);
     }
 
+    /// A guard leaked among a batch of sibling `point` spans (one
+    /// block's points under one parent) is counted once, and every
+    /// sibling that did close is still recorded.
+    #[test]
+    fn a_guard_leaked_in_a_batch_counts_once(points in 1usize..12, leaked in 0usize..12) {
+        let leaked = leaked % points;
+        let builder = TraceBuilder::new(derive_trace_id(3, 1), Clock::sim());
+        {
+            let root = builder.root("serve.request");
+            for point in 0..points {
+                let mut span = root.child("point", point as u64);
+                let _leaf = span.child("eval.size", 0);
+                span.tag("cache", "miss");
+                if point == leaked {
+                    std::mem::forget(span);
+                }
+            }
+        }
+        let trace = builder.finish();
+        prop_assert_eq!(trace.open_at_finish, 1);
+        prop_assert_eq!(trace.dropped_spans, 0);
+        // The root, every point but the leaked one, and every leaf.
+        prop_assert_eq!(trace.span_count(), 1 + (points - 1) + points);
+        for point in 0..points {
+            let present = trace
+                .spans
+                .iter()
+                .any(|s| s.name == "point" && s.order == point as u64);
+            prop_assert_eq!(present, point != leaked, "point {}", point);
+        }
+    }
+
+    /// Capacity applies to a batch of sibling spans as to any other,
+    /// and every span past it is counted: recorded + dropped = opened.
+    #[test]
+    fn overflow_through_a_batch_counts_every_drop(
+        capacity in 0usize..16,
+        direct in 0usize..8,
+        batched in 0usize..24,
+    ) {
+        let builder = TraceBuilder::with_capacity(5, Clock::sim(), capacity);
+        {
+            let root = builder.root("serve.request");
+            for i in 0..direct {
+                let _ = root.child("direct", i as u64);
+            }
+            let mut block = root.child("explore.round", 0);
+            block.tag("points", batched);
+            for i in 0..batched {
+                let _ = block.child("batched", i as u64);
+            }
+        }
+        let opened = 1 + direct + 1 + batched;
+        let trace = builder.finish();
+        prop_assert_eq!(trace.span_count(), opened.min(capacity));
+        prop_assert_eq!(trace.dropped_spans as usize, opened - opened.min(capacity));
+        prop_assert_eq!(trace.open_at_finish, 0);
+    }
+
     #[test]
     fn ring_buffer_retains_exactly_the_newest_window(
         capacity in 1usize..64,

@@ -36,7 +36,6 @@ use crate::experiments::Report;
 use crate::table::{f, Table};
 use drone_components::battery::CellCount;
 use drone_dse::eval::{evaluate, BatchProfile, DesignQuery, EvalBatch};
-use drone_dse::power::PowerModel;
 use drone_explorer::{EvalCache, Explorer, GridRange, QueryRanges};
 use drone_telemetry::Json;
 use std::hint::black_box;
@@ -127,11 +126,9 @@ fn mode_json(ns: u64, points: usize, flops: u64, bytes: u64, serial_ns: u64) -> 
 pub fn roofline() -> Report {
     let grid = sweep_grid();
     let points = grid.len();
-    let model = PowerModel::paper_defaults();
-
     // Deterministic core: profile counters + lockstep digest.
     let batch = EvalBatch::new(&grid);
-    let (batched_results, profile) = batch.run_profiled(&model);
+    let (batched_results, profile) = batch.run_profiled();
     let serial_results: Vec<drone_explorer::EvalResult> = grid.iter().map(evaluate).collect();
     let mut serial_lines: Vec<String> = serial_results
         .iter()
@@ -155,7 +152,7 @@ pub fn roofline() -> Report {
         black_box(grid.iter().map(evaluate).collect::<Vec<_>>());
     });
     let batched_ns = best_ns(5, || {
-        black_box(EvalBatch::new(black_box(&grid)).run(&model));
+        black_box(EvalBatch::new(black_box(&grid)).run());
     });
     let engine_serial_ns = best_ns(3, || {
         let cache = EvalCache::with_defaults();

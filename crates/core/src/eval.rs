@@ -18,6 +18,10 @@
 //!   power/flight-time/compute-share in a second fused pass. Bit-for-bit
 //!   identical to mapping [`evaluate`] over the batch (pinned by a
 //!   lockstep proptest), just a faster route to the same answers.
+//!
+//! Both use the paper's power model ([`PowerModel::paper_defaults`])
+//! and record nothing: a caller that traces a point (the explorer's
+//! `eval.size`/`eval.power` leaves) does so around these calls.
 
 use crate::design::{DesignError, DesignSpec, WIRING_FRACTION};
 use crate::power::{FlyingLoad, PowerModel};
@@ -29,7 +33,6 @@ use drone_components::units::{
     Amps, Grams, MilliampHours, Millimeters, WattHours, Watts, STANDARD_GRAVITY,
 };
 use drone_math::{BuildFnv, LinearFit};
-use drone_telemetry::trace::Span;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -159,45 +162,8 @@ impl DesignEval {
 /// the battery cannot discharge fast enough, or a parameter is out of
 /// the modelled range).
 pub fn evaluate(query: &DesignQuery) -> Result<DesignEval, DesignError> {
-    evaluate_with(&PowerModel::paper_defaults(), query)
-}
-
-/// [`evaluate`], recording the kernel's two stages — the sizing
-/// fixed-point (`eval.size`) and the power/flight-time derivation
-/// (`eval.power`) — as leaf spans under `parent` when tracing is on.
-/// With `parent = None` this *is* [`evaluate`]: the result is
-/// identical and nothing is recorded.
-pub fn evaluate_traced(
-    query: &DesignQuery,
-    parent: Option<&Span>,
-) -> Result<DesignEval, DesignError> {
-    evaluate_with_traced(&PowerModel::paper_defaults(), query, parent)
-}
-
-/// [`evaluate`] with an explicit power model (ablation studies vary the
-/// efficiency and drain-limit constants).
-pub fn evaluate_with(model: &PowerModel, query: &DesignQuery) -> Result<DesignEval, DesignError> {
-    evaluate_with_traced(model, query, None)
-}
-
-/// [`evaluate_with`] with optional leaf-span tracing. The spans carry
-/// fixed orders (`eval.size` = 0, `eval.power` = 1), so their ids are a
-/// pure function of the trace id — identical at any thread count.
-pub fn evaluate_with_traced(
-    model: &PowerModel,
-    query: &DesignQuery,
-    parent: Option<&Span>,
-) -> Result<DesignEval, DesignError> {
-    let sizing = {
-        let mut span = parent.map(|p| p.child("eval.size", 0));
-        let sizing = query.to_spec().size();
-        if let Some(span) = span.as_mut() {
-            span.tag("feasible", sizing.is_ok());
-        }
-        sizing
-    };
-    let drone = sizing?;
-    let _power_span = parent.map(|p| p.child("eval.power", 1));
+    let model = PowerModel::paper_defaults();
+    let drone = query.to_spec().size()?;
     let hover = model.average_power(&drone, FlyingLoad::Hover);
     let maneuver = model.average_power(&drone, FlyingLoad::Maneuver);
     Ok(DesignEval {
@@ -227,19 +193,7 @@ pub fn evaluate_with_traced(
 /// with the same message — though not necessarily at the same point
 /// ordinal, since lanes advance together.
 pub fn evaluate_many(queries: &[DesignQuery]) -> Vec<Result<DesignEval, DesignError>> {
-    evaluate_many_with(&PowerModel::paper_defaults(), queries)
-}
-
-/// [`evaluate_many`] with an explicit power model.
-///
-/// # Errors
-///
-/// Per-slot [`DesignError`]s, as [`evaluate_with`] would return them.
-pub fn evaluate_many_with(
-    model: &PowerModel,
-    queries: &[DesignQuery],
-) -> Vec<Result<DesignEval, DesignError>> {
-    EvalBatch::new(queries).run(model)
+    EvalBatch::new(queries).run()
 }
 
 /// Deterministic counters from one [`EvalBatch`] run: a pure function
@@ -510,16 +464,13 @@ impl<'q> EvalBatch<'q> {
     }
 
     /// Runs the batch. See [`evaluate_many`] for the contract.
-    pub fn run(&self, model: &PowerModel) -> Vec<Result<DesignEval, DesignError>> {
-        self.run_profiled(model).0
+    pub fn run(&self) -> Vec<Result<DesignEval, DesignError>> {
+        self.run_profiled().0
     }
 
     /// [`EvalBatch::run`], also returning the deterministic
     /// [`BatchProfile`] counters.
-    pub fn run_profiled(
-        &self,
-        model: &PowerModel,
-    ) -> (Vec<Result<DesignEval, DesignError>>, BatchProfile) {
+    pub fn run_profiled(&self) -> (Vec<Result<DesignEval, DesignError>>, BatchProfile) {
         let mut profile = BatchProfile {
             points: self.queries.len(),
             ..BatchProfile::default()
@@ -546,7 +497,7 @@ impl<'q> EvalBatch<'q> {
         }
 
         self.size_fixed_point(&mut lanes, &mut profile);
-        self.derive_outputs(&lanes, model, &mut results, &mut profile);
+        self.derive_outputs(&lanes, &mut results, &mut profile);
 
         let results = results
             .into_iter()
@@ -669,10 +620,10 @@ impl<'q> EvalBatch<'q> {
     fn derive_outputs(
         &self,
         lanes: &Lanes,
-        model: &PowerModel,
         results: &mut [Option<Result<DesignEval, DesignError>>],
         profile: &mut BatchProfile,
     ) {
+        let model = PowerModel::paper_defaults();
         let hover_fraction = FlyingLoad::Hover.fraction();
         let maneuver_fraction = FlyingLoad::Maneuver.fraction();
         for l in 0..lanes.len() {
@@ -763,36 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_evaluate_matches_untraced_and_records_leaves() {
-        use drone_telemetry::{derive_trace_id, Clock, TraceBuilder};
-        let builder = TraceBuilder::new(derive_trace_id(1, 1), Clock::sim());
-        let traced = {
-            let root = builder.root("test");
-            evaluate_traced(&q450(), Some(&root)).unwrap()
-        };
-        assert_eq!(traced, evaluate(&q450()).unwrap());
-        let trace = builder.finish();
-        assert_eq!(trace.count_named("eval.size"), 1);
-        assert_eq!(trace.count_named("eval.power"), 1);
-        assert_eq!(trace.count_tagged("feasible", "true"), 0); // bool tag, not str
-        assert_eq!(trace.open_at_finish, 0);
-    }
-
-    #[test]
-    fn traced_evaluate_of_infeasible_point_skips_power_stage() {
-        use drone_telemetry::{derive_trace_id, Clock, TraceBuilder};
-        let builder = TraceBuilder::new(derive_trace_id(1, 2), Clock::sim());
-        {
-            let root = builder.root("test");
-            let q = DesignQuery::new(450.0, CellCount::S3, 150.0).with_payload(800.0);
-            assert!(evaluate_traced(&q, Some(&root)).is_err());
-        }
-        let trace = builder.finish();
-        assert_eq!(trace.count_named("eval.size"), 1);
-        assert_eq!(trace.count_named("eval.power"), 0);
-    }
-
-    #[test]
     fn builders_reach_the_spec() {
         let q = q450()
             .with_compute_power(20.0)
@@ -872,7 +793,7 @@ mod tests {
             .map(|i| DesignQuery::new(100.0 + 40.0 * i as f64, CellCount::S3, 3000.0))
             .collect();
         let batch = EvalBatch::new(&queries);
-        let (results, profile) = batch.run_profiled(&PowerModel::paper_defaults());
+        let (results, profile) = batch.run_profiled();
         assert_eq!(profile.points, 20);
         assert_eq!(
             profile.feasible,

@@ -10,9 +10,12 @@
 //! * [`design`] — component sizing at a target thrust-to-weight ratio,
 //!   including the Equation 1 fixed point (heavier motors need bigger
 //!   motors).
-//! * [`eval`] — the pure per-point evaluation kernel
-//!   ([`evaluate`]`(&DesignQuery) -> DesignEval`) every sweep and the
-//!   `drone-explorer` engine share.
+//! * [`eval`] — the pure evaluation kernel every sweep and the
+//!   `drone-explorer` engine share, with two entry points that return
+//!   the same f64s: the scalar reference [`evaluate`]`(&DesignQuery)`
+//!   and the batched struct-of-arrays [`evaluate_many`]`(&[DesignQuery])`.
+//!   The crate depends on no serving or tracing code: callers that
+//!   trace a point record its spans around these calls.
 //! * [`power`] — flying loads, average power, flight time, computation
 //!   share and gained-flight-time conversions.
 //! * [`sweep`] — the Figure 10 design-space sweeps (total power vs
@@ -54,8 +57,7 @@ pub mod sweep;
 
 pub use design::{DesignSpec, SizedDrone};
 pub use eval::{
-    evaluate, evaluate_many, evaluate_many_with, evaluate_traced, evaluate_with,
-    evaluate_with_traced, BatchProfile, DesignEval, DesignQuery, EvalBatch, ModelTables,
+    evaluate, evaluate_many, BatchProfile, DesignEval, DesignQuery, EvalBatch, ModelTables,
     OBJECTIVE_SENSES,
 };
 pub use power::{FlyingLoad, PowerBreakdown, PowerModel};

@@ -360,9 +360,7 @@ impl<'a> Optimizer<'a> {
         if coarse {
             self.coarse_evals += queries.len();
         }
-        let results = self
-            .explorer
-            .try_evaluate_points_spanned(&queries, span.as_ref())?;
+        let results = self.explorer.try_evaluate_points(&queries, span.as_ref())?;
         for ((point, _, key), result) in batch.into_iter().zip(results) {
             self.seen.insert(key);
             self.outcomes.insert(key, Some(result));
@@ -477,7 +475,7 @@ impl Explorer {
     /// Re-raises a caught evaluation panic; serving layers use
     /// [`Explorer::try_optimize`] for a structured error instead.
     pub fn optimize(&self, req: &OptimizeRequest) -> OptimizeAnswer {
-        match self.try_optimize(req) {
+        match self.try_optimize(req, None) {
             Ok(answer) => answer,
             Err(caught) => panic!("{caught}"),
         }
@@ -486,18 +484,13 @@ impl Explorer {
     /// [`Explorer::optimize`] with panic isolation: a panicking
     /// evaluation anywhere in the run aborts *this request only*; the
     /// engine stays healthy.
-    pub fn try_optimize(&self, req: &OptimizeRequest) -> Result<OptimizeAnswer, TaskPanic> {
-        self.try_optimize_spanned(req, None)
-    }
-
-    /// [`Explorer::try_optimize`] with causal tracing: each phase
-    /// opens a child span under `parent` (`optimize.sample` /
-    /// `optimize.round` / `optimize.refine`, orders sequential), and
-    /// every wave traces through
-    /// [`Explorer::try_evaluate_points_spanned`]: per-point spans in a
-    /// detailed trace, stage spans in an aggregate one. With
-    /// `parent = None` this *is* `try_optimize`.
-    pub fn try_optimize_spanned(
+    ///
+    /// With `parent`, each phase opens a child span under it
+    /// (`optimize.sample` / `optimize.round` / `optimize.refine`, orders
+    /// sequential), and every wave traces through
+    /// [`Explorer::try_evaluate_points`]: per-point spans in a detailed
+    /// trace, stage spans in an aggregate one.
+    pub fn try_optimize(
         &self,
         req: &OptimizeRequest,
         parent: Option<&Span>,

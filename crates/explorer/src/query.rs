@@ -301,19 +301,6 @@ pub struct QueryRanges {
 }
 
 impl QueryRanges {
-    /// The paper's Figure 10 neighbourhood: 100–800 mm, 1S/3S/6S,
-    /// 1000–8000 mAh, a 3 W chip at TWR 2 with no payload.
-    pub fn figure10_defaults() -> QueryRanges {
-        QueryRanges {
-            wheelbase_mm: GridRange::new(100.0, 800.0, 8),
-            cells: vec![CellCount::S1, CellCount::S3, CellCount::S6],
-            capacity_mah: GridRange::new(1000.0, 8000.0, 15),
-            compute_power_w: GridRange::fixed(3.0),
-            twr: GridRange::fixed(drone_components::paper::PAPER_TWR),
-            payload_g: GridRange::fixed(0.0),
-        }
-    }
-
     /// Materializes the full grid, cells outermost, in a fixed
     /// deterministic order.
     pub fn grid(&self) -> Vec<DesignQuery> {

@@ -58,7 +58,7 @@ fn traced_run(query: &Query, detailed: bool) -> (u64, Trace) {
         let builder = TraceBuilder::with_detail(derive_trace_id(7, 1), Clock::wall(), detailed);
         {
             let root = builder.root("serve.request");
-            engine.try_run_spanned(query, Some(&root)).unwrap();
+            engine.try_run(query, Some(&root)).unwrap();
         }
         trace = Some(builder.finish());
     });
@@ -92,12 +92,12 @@ fn tracing_a_cold_grid_allocates_per_block_not_per_span() {
 
     // Warm up once: lazy runtime one-time costs (TLS, thread-spawn
     // machinery) must not be billed to either run.
-    Explorer::new(2).try_run(&query).unwrap();
+    Explorer::new(2).try_run(&query, None).unwrap();
 
     // Each run gets a fresh engine, so every point misses the cache.
     let untraced_engine = Explorer::new(2);
     let untraced = allocations_during(|| {
-        untraced_engine.try_run(&query).unwrap();
+        untraced_engine.try_run(&query, None).unwrap();
     });
     let (traced, trace) = traced_run(&query, true);
     let spans = trace.span_count();
@@ -126,7 +126,7 @@ fn tracing_a_cold_grid_allocates_per_block_not_per_span() {
         let points = query.ranges.point_count();
         let untraced_engine = Explorer::new(2);
         let untraced = allocations_during(|| {
-            untraced_engine.try_run(query).unwrap();
+            untraced_engine.try_run(query, None).unwrap();
         });
         let (traced, trace) = traced_run(query, false);
         assert_eq!(trace.span_count(), 4);

@@ -66,29 +66,15 @@ pub mod service;
 pub(crate) mod sys;
 pub mod workload;
 
-/// End-to-end tests of the serving front-end over loopback sockets:
-/// the contract every [`ReactorServer`] caller relies on (ordering,
-/// shedding, deadlines, panic isolation, introspection, drain).
-/// Reactor internals are tested in `reactor::tests`.
-#[cfg(all(
-    test,
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod server {
-    mod tests;
-}
-
 pub use chaos::{ChaosProxy, Fault, FaultSchedule, ProxyStats};
 pub use client::{CallError, CallSuccess, Client, ClientConfig};
 pub use framer::{FrameEvent, LineFramer};
 pub use protocol::{
-    answer_to_json, cost_units, error_reply, handle_batch, handle_batch_traced, handle_batch_with,
-    ok_optimize_reply, ok_reply, optimize_answer_to_json, optimize_cost_units,
-    optimize_request_to_json, optimize_request_to_json_traced, parse_request, request_to_json,
-    request_to_json_traced, stats_request_json, trace_request_json, AdminRequest, BatchOutcome,
-    BatchPolicy, BatchTracing, ErrorKind, ReplySlot, Request, RequestBody, RequestError,
-    TraceQuery, MAX_TRACE_FETCH,
+    answer_to_json, cost_units, error_reply, handle_batch, handle_batch_traced, ok_optimize_reply,
+    ok_reply, optimize_answer_to_json, optimize_cost_units, optimize_request_to_json,
+    optimize_request_to_json_traced, parse_request, request_to_json, request_to_json_traced,
+    stats_request_json, trace_request_json, AdminRequest, BatchOutcome, BatchPolicy, BatchTracing,
+    ErrorKind, ReplySlot, Request, RequestBody, RequestError, TraceQuery, MAX_TRACE_FETCH,
 };
 pub use reactor::{LineHandler, ReactorConfig, ReactorServer};
 pub use router::{Router, RouterConfig};

@@ -27,8 +27,8 @@
 use drone_components::battery::CellCount;
 use drone_dse::eval::DesignEval;
 use drone_explorer::{
-    try_run_sharded_spanned, Constraints, Explorer, GridRange, Objective, OptimizeAnswer,
-    OptimizeRequest, Query, QueryAnswer, QueryLimits, QueryRanges, ShardSpec, Strategy,
+    try_run_sharded, Constraints, Explorer, GridRange, Objective, OptimizeAnswer, OptimizeRequest,
+    Query, QueryAnswer, QueryLimits, QueryRanges, ShardSpec, Strategy,
 };
 use drone_telemetry::trace::{
     derive_trace_id_bytes, id_hex, parse_id_hex, TraceBuilder, TraceRing,
@@ -935,37 +935,22 @@ pub fn handle_batch(
     lines: &[&str],
     limits: &QueryLimits,
 ) -> (Vec<String>, BatchOutcome) {
-    handle_batch_with(engine, lines, limits, BatchPolicy::default())
-}
-
-/// [`handle_batch`] with explicit degradation policy.
-pub fn handle_batch_with(
-    engine: &Explorer,
-    lines: &[&str],
-    limits: &QueryLimits,
-    policy: BatchPolicy,
-) -> (Vec<String>, BatchOutcome) {
-    let (slots, outcome) = handle_batch_core(Backend::Engine(engine), lines, limits, policy, None);
+    let backend = Backend::Engine(engine);
+    let (slots, outcome) = handle_batch_core(backend, lines, limits, BatchPolicy::default(), None);
     let replies = slots
         .into_iter()
         .map(|slot| match slot {
             ReplySlot::Line(line) => line,
-            // Unreachable: without tracing, admin requests were
-            // rejected at disposition time.
-            ReplySlot::Admin { id, .. } => error_reply(
-                &id,
-                &RequestError::bad("introspection requires a live server"),
-            )
-            .render(),
+            ReplySlot::Admin { .. } => unreachable!("untraced batches reject introspection"),
         })
         .collect();
     (replies, outcome)
 }
 
-/// [`handle_batch_with`] plus causal tracing: every evaluated (or
-/// shed) request builds a span tree pushed into `tracing.ring` —
-/// detailed when the request stamped its own `trace_id`, aggregate
-/// otherwise (see the module docs) — and
+/// [`handle_batch`] under an explicit degradation `policy`, plus causal
+/// tracing: every evaluated (or shed) request builds a span tree
+/// pushed into `tracing.ring` — detailed when the request stamped its
+/// own `trace_id`, aggregate otherwise (see the module docs) — and
 /// introspection requests come back as [`ReplySlot::Admin`] for the
 /// server to resolve against its live state — *after* it has done its
 /// own metric accounting, so a `stats` reply observes the batch it
@@ -987,7 +972,7 @@ pub(crate) enum Backend<'a> {
     /// One engine, answering every request kind.
     Engine(&'a Explorer),
     /// A router's engine shards: grid queries, each run by
-    /// [`try_run_sharded_spanned`] (which answers exactly as one engine
+    /// [`try_run_sharded`] (which answers exactly as one engine
     /// does), and introspection; no optimize requests.
     Shards(&'a [Explorer]),
 }
@@ -1085,12 +1070,12 @@ pub(crate) fn handle_batch_core(
                 trace_request(&request, &mut |mut root| {
                     let result = match &work {
                         Work::Query(query) => {
-                            try_run_sharded_spanned(backend.shards(), query, root.as_deref())
+                            try_run_sharded(backend.shards(), query, root.as_deref())
                                 .map(|answer| (cost_units(&answer), ok_reply(&request.id, &answer)))
                         }
                         // Only a single-engine backend admits these.
                         Work::Optimize(req) => backend.shards()[0]
-                            .try_optimize_spanned(req, root.as_deref())
+                            .try_optimize(req, root.as_deref())
                             .map(|answer| {
                                 (
                                     optimize_cost_units(&answer),
@@ -1162,6 +1147,26 @@ mod tests {
 
     fn engine() -> Explorer {
         Explorer::new(2)
+    }
+
+    /// [`handle_batch_traced`] under `policy`, its reply lines unwrapped.
+    fn handle_with_policy(lines: &[&str], policy: BatchPolicy) -> (Vec<String>, BatchOutcome) {
+        let ring = TraceRing::new(8);
+        let tracing = BatchTracing {
+            ring: &ring,
+            clock: Clock::sim(),
+            seed: 7,
+        };
+        let limits = QueryLimits::default();
+        let (slots, outcome) = handle_batch_traced(&engine(), lines, &limits, policy, &tracing);
+        let replies = slots
+            .into_iter()
+            .map(|slot| match slot {
+                ReplySlot::Line(line) => line,
+                ReplySlot::Admin { .. } => panic!("no introspection requested"),
+            })
+            .collect();
+        (replies, outcome)
     }
 
     fn minimal_line() -> String {
@@ -1515,8 +1520,7 @@ mod tests {
         let policy = BatchPolicy {
             cost_deadline: Some(10),
         };
-        let (replies, outcome) =
-            handle_batch_with(&engine(), &[line.as_str()], &QueryLimits::default(), policy);
+        let (replies, outcome) = handle_with_policy(&[line.as_str()], policy);
         let doc = Json::parse(&replies[0]).unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(doc.get("id"), Some(&Json::Num(7.0)), "shed echoes the id");
@@ -1532,12 +1536,7 @@ mod tests {
         let relaxed = BatchPolicy {
             cost_deadline: Some(15),
         };
-        let (replies, outcome) = handle_batch_with(
-            &engine(),
-            &[line.as_str()],
-            &QueryLimits::default(),
-            relaxed,
-        );
+        let (replies, outcome) = handle_with_policy(&[line.as_str()], relaxed);
         let doc = Json::parse(&replies[0]).unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(outcome.answered, 1);
@@ -1691,8 +1690,7 @@ mod tests {
         let policy = BatchPolicy {
             cost_deadline: Some(8), // budget 12 > 8
         };
-        let (replies, outcome) =
-            handle_batch_with(&engine(), &[line.as_str()], &QueryLimits::default(), policy);
+        let (replies, outcome) = handle_with_policy(&[line.as_str()], policy);
         let doc = Json::parse(&replies[0]).unwrap();
         assert_eq!(
             doc.get("error").and_then(|e| e.get("kind")),

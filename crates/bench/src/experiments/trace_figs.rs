@@ -33,7 +33,7 @@ use drone_serve::protocol::{
 use drone_serve::{Client, ClientConfig, ReactorConfig, ReactorServer, Workload};
 use drone_telemetry::trace::{TagValue, Trace};
 use drone_telemetry::{derive_trace_id, id_hex, Clock, Json, Registry, TraceRing};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 const SEED: u64 = 7;
@@ -298,30 +298,41 @@ fn live_introspection() -> (Json, String) {
     let server = ReactorServer::start(engine, config, &registry).expect("bind loopback server");
     let addr = server.addr();
 
-    let clients: Vec<std::thread::JoinHandle<Vec<String>>> = (0..PHASE_B_CLIENTS)
-        .map(|c| {
-            let registry = registry.clone();
-            std::thread::spawn(move || {
-                // Distinct trace seeds keep the clients' trace ids
-                // disjoint while staying derivable by the artifact.
-                let mut client = Client::new(
-                    addr,
-                    ClientConfig {
-                        trace_seed: SEED ^ c,
-                        ..ClientConfig::default()
-                    },
-                    &registry,
-                );
-                let mut workload = Workload::new(SEED, c);
-                (0..PHASE_B_REQUESTS)
-                    .map(|_| {
-                        let success = client.call(&workload.next_query()).expect("traced call");
-                        success.reply.render()
-                    })
-                    .collect()
-            })
+    // Client 0's first request is the trace fetched back below. It runs
+    // alone, against the fresh cache, so its span tree (every point a
+    // miss) does not depend on how the other clients' requests
+    // interleave with it; the other clients start once it is answered.
+    let spawn_client = |c: u64, mut first_answered: Option<mpsc::Sender<()>>| {
+        let registry = registry.clone();
+        std::thread::spawn(move || {
+            // Distinct trace seeds keep the clients' trace ids
+            // disjoint while staying derivable by the artifact.
+            let mut client = Client::new(
+                addr,
+                ClientConfig {
+                    trace_seed: SEED ^ c,
+                    ..ClientConfig::default()
+                },
+                &registry,
+            );
+            let mut workload = Workload::new(SEED, c);
+            (0..PHASE_B_REQUESTS)
+                .map(|_| {
+                    let success = client.call(&workload.next_query()).expect("traced call");
+                    if let Some(signal) = first_answered.take() {
+                        signal.send(()).expect("spawner waits for the first reply");
+                    }
+                    success.reply.render()
+                })
+                .collect::<Vec<String>>()
         })
-        .collect();
+    };
+    let (signal, first_answered) = mpsc::channel();
+    let mut clients = vec![spawn_client(0, Some(signal))];
+    first_answered
+        .recv()
+        .expect("client 0 answers its first request");
+    clients.extend((1..PHASE_B_CLIENTS).map(|c| spawn_client(c, None)));
 
     // The introspection plane, probed from the side mid-workload.
     let mut probe = Client::new(addr, ClientConfig::default(), &registry);

@@ -225,3 +225,84 @@ pub fn all_experiments() -> Vec<Experiment> {
         ),
     ]
 }
+
+/// Builds an artifact with the default executor width at 1 and then at
+/// 3 threads and asserts the two documents are identical. A failure
+/// names the first differing JSON path and both values, not two whole
+/// artifacts.
+#[cfg(test)]
+fn assert_thread_count_invariant(artifact: impl Fn() -> Json) {
+    drone_explorer::set_default_threads(1);
+    let serial = artifact();
+    drone_explorer::set_default_threads(3);
+    let parallel = artifact();
+    drone_explorer::set_default_threads(0);
+    if let Some((path, one, three)) = first_difference("$", &serial, &parallel) {
+        panic!(
+            "artifact depends on the thread count: first difference at {path}: \
+             {one} at 1 thread, {three} at 3"
+        );
+    }
+}
+
+/// The first place two documents differ, in document order: its path
+/// and the two values there, rendered.
+#[cfg(test)]
+fn first_difference(path: &str, a: &Json, b: &Json) -> Option<(String, String, String)> {
+    let count = |path: &str, what: &str, a: usize, b: usize| {
+        (a != b).then(|| (format!("{path} ({what})"), a.to_string(), b.to_string()))
+    };
+    match (a, b) {
+        (Json::Obj(a), Json::Obj(b)) => a
+            .iter()
+            .zip(b)
+            .enumerate()
+            .find_map(|(i, ((ka, va), (kb, vb)))| match ka == kb {
+                true => first_difference(&format!("{path}.{ka}"), va, vb),
+                false => Some((format!("{path} (key {i})"), ka.clone(), kb.clone())),
+            })
+            .or_else(|| count(path, "keys", a.len(), b.len())),
+        (Json::Arr(a), Json::Arr(b)) => a
+            .iter()
+            .zip(b)
+            .enumerate()
+            .find_map(|(i, (va, vb))| first_difference(&format!("{path}[{i}]"), va, vb))
+            .or_else(|| count(path, "length", a.len(), b.len())),
+        _ => {
+            let (a, b) = (a.render(), b.render());
+            (a != b).then(|| (path.to_owned(), a, b))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn first_difference_names_the_path_and_both_values() {
+        let doc = |n: f64, tail: &[f64]| {
+            Json::obj().with(
+                "a",
+                Json::obj()
+                    .with("b", Json::Arr(vec![Json::Num(1.0), Json::Num(n)]))
+                    .with("c", Json::Arr(tail.iter().map(|&x| Json::Num(x)).collect())),
+            )
+        };
+        let base = doc(2.0, &[1.0]);
+        assert_eq!(first_difference("$", &base, &base.clone()), None);
+        assert_eq!(
+            first_difference("$", &base, &doc(3.0, &[5.0])),
+            Some(("$.a.b[1]".to_owned(), "2".to_owned(), "3".to_owned()))
+        );
+        assert_eq!(
+            first_difference("$", &base, &doc(2.0, &[1.0, 4.0])),
+            Some(("$.a.c (length)".to_owned(), "1".to_owned(), "2".to_owned()))
+        );
+        let renamed = Json::obj().with("z", 1.0);
+        assert_eq!(
+            first_difference("$", &Json::obj().with("y", 1.0), &renamed),
+            Some(("$ (key 0)".to_owned(), "y".to_owned(), "z".to_owned()))
+        );
+    }
+}

@@ -328,22 +328,15 @@ mod tests {
     /// pure function of the grid — identical at any thread count.
     #[test]
     fn roofline_core_is_thread_count_invariant() {
-        let core = |report: &Report| {
-            let m = &report.metrics;
+        // The deterministic core: everything but the `measured` timings.
+        crate::experiments::assert_thread_count_invariant(|| {
+            let m = roofline().metrics;
             ["grid", "profile", "op_model", "lockstep"]
-                .map(|key| m.get(key).expect(key).render())
-                .join("\n")
-        };
-        drone_explorer::set_default_threads(1);
-        let serial = roofline();
-        drone_explorer::set_default_threads(3);
-        let parallel = roofline();
-        drone_explorer::set_default_threads(0);
-        assert_eq!(
-            core(&serial),
-            core(&parallel),
-            "deterministic core must not depend on thread count"
-        );
+                .into_iter()
+                .fold(Json::obj(), |core, key| {
+                    core.with(key, m.get(key).expect(key).clone())
+                })
+        });
     }
 
     #[test]

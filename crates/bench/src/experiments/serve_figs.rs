@@ -321,11 +321,6 @@ mod tests {
 
     #[test]
     fn serve_metrics_are_thread_count_invariant() {
-        drone_explorer::set_default_threads(1);
-        let serial = serve().metrics.render_pretty();
-        drone_explorer::set_default_threads(3);
-        let parallel = serve().metrics.render_pretty();
-        drone_explorer::set_default_threads(0);
-        assert_eq!(serial, parallel, "artifact must not depend on thread count");
+        crate::experiments::assert_thread_count_invariant(|| serve().metrics);
     }
 }

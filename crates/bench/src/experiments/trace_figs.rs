@@ -507,11 +507,6 @@ mod tests {
 
     #[test]
     fn trace_metrics_are_thread_count_invariant() {
-        drone_explorer::set_default_threads(1);
-        let serial = trace().metrics.render_pretty();
-        drone_explorer::set_default_threads(3);
-        let parallel = trace().metrics.render_pretty();
-        drone_explorer::set_default_threads(0);
-        assert_eq!(serial, parallel, "artifact must not depend on thread count");
+        crate::experiments::assert_thread_count_invariant(|| trace().metrics);
     }
 }

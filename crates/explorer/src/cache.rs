@@ -4,9 +4,16 @@
 //! batch queries overlap (refinement rounds revisit the incumbent,
 //! neighbouring queries share grid corners), so the engine memoizes
 //! [`evaluate`](drone_dse::eval::evaluate) results — feasible *and* infeasible — behind a sharded
-//! map keyed by quantized design-point coordinates. Shards keep lock
+//! table keyed by quantized design-point coordinates. Shards keep lock
 //! hold times tiny under parallel lookups; hit/miss/eviction counters
 //! surface through `drone-telemetry` as `explorer.cache.*`.
+//!
+//! Each lock shard evicts first-in, first-out. It keeps its entries in
+//! one ring in insertion order, so the oldest entry is the next victim
+//! and a new entry overwrites it in place, plus an open-addressed index
+//! of small `(tag, slot)` pairs that finds a key while reading an entry
+//! only on a tag match. A cold insert on a full shard is one probe, one
+//! in-place overwrite and one index update, with no allocation.
 //!
 //! Keys quantize each coordinate to a model-insignificant granule
 //! (0.1 mm wheelbase, 1 mAh, 0.01 W, 0.001 TWR, 0.1 g payload): two
@@ -16,11 +23,9 @@
 
 use drone_dse::design::DesignError;
 use drone_dse::eval::{DesignEval, DesignQuery};
-use drone_math::hash::{fnv1a_fold, BuildFnv, FNV_OFFSET};
+use drone_math::hash::{fnv1a_fold, FNV_OFFSET};
 use drone_telemetry::{Counter, Registry};
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A memoized evaluation outcome (infeasibility is cached too).
 pub type CachedEval = Result<DesignEval, DesignError>;
@@ -84,19 +89,145 @@ pub fn shard_of(query: &DesignQuery, count: u32) -> u32 {
     (CacheKey::quantize(query).fnv() % u64::from(count.max(1))) as u32
 }
 
+/// One lock shard: a FIFO ring of entries plus an open-addressed index
+/// over it.
+///
+/// `entries` holds the shard's entries in insertion order until it is
+/// full; from then on slot `head` is the oldest entry, and the next
+/// insert overwrites it in place and advances `head`. Nothing is
+/// allocated after the shard first fills.
+///
+/// `index` is a linear-probing table of `(tag, slot + 1)` pairs, 0 in
+/// the second field marking an empty bucket, with at least twice as
+/// many buckets as the shard has slots. The tag is the high 32 bits of
+/// the key's FNV hash, and the tag's low bits pick the home bucket, so
+/// a bucket's home is known without reading its entry. The lock shard
+/// is the hash modulo the shard count, which for a power-of-two count
+/// uses only the hash's low bits: placement does not narrow the buckets
+/// a shard's keys reach. A probe reads an entry only on a tag match,
+/// because a wrong-key read per probe step would cost more than the
+/// probe itself. Deletion shifts later members of the cluster back
+/// (Knuth's Algorithm R), so no tombstones build up.
 struct Shard {
-    // FNV-hashed: every cold point pays a lookup *and* an insert, so
-    // the per-operation hash must be a handful of multiplies, not
-    // SipHash over the 41-byte key.
-    map: HashMap<CacheKey, CachedEval, BuildFnv>,
-    // FIFO insertion order backing eviction.
-    order: VecDeque<CacheKey>,
+    entries: Vec<(CacheKey, CachedEval)>,
+    /// The next victim once `entries` is full.
+    head: usize,
+    index: Vec<(u32, u32)>,
+    capacity: usize,
+}
+
+/// The index tag of a key hash.
+fn tag_of(hash: u64) -> u32 {
+    (hash >> 32) as u32
+}
+
+impl Shard {
+    fn new(capacity: usize) -> Shard {
+        assert!(
+            capacity < u32::MAX as usize / 2,
+            "cache shard capacity {capacity} does not fit the index"
+        );
+        Shard {
+            entries: Vec::new(),
+            head: 0,
+            // Zeroed, so the pages fault in only as buckets are used.
+            index: vec![(0, 0); (2 * capacity).next_power_of_two()],
+            capacity,
+        }
+    }
+
+    fn mask(&self) -> usize {
+        self.index.len() - 1
+    }
+
+    fn home(&self, tag: u32) -> usize {
+        tag as usize & self.mask()
+    }
+
+    /// The bucket holding `key` (`Ok`), or the empty bucket that ends
+    /// its probe sequence (`Err`).
+    fn probe(&self, key: &CacheKey, tag: u32) -> Result<usize, usize> {
+        let mask = self.mask();
+        let mut bucket = self.home(tag);
+        loop {
+            match self.index[bucket] {
+                (_, 0) => return Err(bucket),
+                (t, slot) if t == tag && self.entries[slot as usize - 1].0 == *key => {
+                    return Ok(bucket)
+                }
+                _ => bucket = (bucket + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, key: &CacheKey, hash: u64) -> Option<CachedEval> {
+        let bucket = self.probe(key, tag_of(hash)).ok()?;
+        Some(self.entries[self.index[bucket].1 as usize - 1].1)
+    }
+
+    /// Stores `value`; returns whether the oldest entry was evicted for
+    /// it. A resident key is refreshed in place, keeping its FIFO age.
+    fn insert(&mut self, key: CacheKey, hash: u64, value: CachedEval) -> bool {
+        let tag = tag_of(hash);
+        let mut bucket = match self.probe(&key, tag) {
+            Ok(found) => {
+                let slot = self.index[found].1 as usize - 1;
+                self.entries[slot].1 = value;
+                return false;
+            }
+            Err(empty) => empty,
+        };
+        let evicted = self.entries.len() == self.capacity;
+        let slot = if evicted {
+            let victim = self.head;
+            self.head = (victim + 1) % self.capacity;
+            self.unlink(victim);
+            // The shift may have moved the cluster this key probes.
+            bucket = self
+                .probe(&key, tag)
+                .expect_err("a key missing before the eviction stays missing");
+            self.entries[victim] = (key, value);
+            victim
+        } else {
+            self.entries.push((key, value));
+            self.entries.len() - 1
+        };
+        self.index[bucket] = (tag, slot as u32 + 1);
+        evicted
+    }
+
+    /// Removes slot `slot`'s bucket, found by its slot id along its
+    /// key's probe sequence, and closes the gap by shifting later
+    /// cluster members back whose home allows it.
+    fn unlink(&mut self, slot: usize) {
+        let mask = self.mask();
+        let target = slot as u32 + 1;
+        let mut hole = self.home(tag_of(self.entries[slot].0.fnv()));
+        while self.index[hole].1 != target {
+            hole = (hole + 1) & mask;
+        }
+        let mut next = hole;
+        loop {
+            next = (next + 1) & mask;
+            let (tag, slot) = self.index[next];
+            if slot == 0 {
+                break;
+            }
+            // A member may fill the hole only if its home is not
+            // cyclically after the hole (it would become unreachable).
+            let home = self.home(tag);
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.index[hole] = self.index[next];
+                hole = next;
+            }
+        }
+        self.index[hole] = (0, 0);
+    }
 }
 
 /// The sharded memoization table.
 pub struct EvalCache {
     shards: Vec<Mutex<Shard>>,
-    shard_capacity: usize,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     evictions: Arc<Counter>,
@@ -105,18 +236,16 @@ pub struct EvalCache {
 impl EvalCache {
     /// A cache with `shards` lock shards holding at most
     /// `shard_capacity` entries each (FIFO eviction past that).
+    ///
+    /// # Panics
+    ///
+    /// If `shard_capacity` is 2³¹ − 1 or more.
     pub fn new(shards: usize, shard_capacity: usize) -> EvalCache {
-        let shards = shards.max(1);
+        let shard_capacity = shard_capacity.max(1);
         EvalCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::default(),
-                        order: VecDeque::new(),
-                    })
-                })
+            shards: (0..shards.max(1))
+                .map(|_| Mutex::new(Shard::new(shard_capacity)))
                 .collect(),
-            shard_capacity: shard_capacity.max(1),
             hits: Arc::new(Counter::new()),
             misses: Arc::new(Counter::new()),
             evictions: Arc::new(Counter::new()),
@@ -143,23 +272,21 @@ impl EvalCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
-        &self.shards[(key.fnv() % self.shards.len() as u64) as usize]
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
+        self.shards[(hash % self.shards.len() as u64) as usize]
+            .lock()
+            .expect("cache shard lock")
     }
 
     /// Looks a key up, counting a hit or a miss.
     pub fn get(&self, key: &CacheKey) -> Option<CachedEval> {
-        let shard = self.shard(key).lock().expect("cache shard lock");
-        match shard.map.get(key) {
-            Some(value) => {
-                self.hits.inc();
-                Some(*value)
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
+        let hash = key.fnv();
+        let found = self.shard(hash).get(key, hash);
+        match found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        found
     }
 
     /// Counts a lookup served by coalescing with an identical in-flight
@@ -170,16 +297,11 @@ impl EvalCache {
 
     /// Stores an evaluation, evicting the shard's oldest entry when the
     /// shard is full. Re-inserting an existing key refreshes the value
-    /// without growing the shard.
+    /// without growing the shard or changing its eviction order.
     pub fn insert(&self, key: CacheKey, value: CachedEval) {
-        let mut shard = self.shard(&key).lock().expect("cache shard lock");
-        if shard.map.insert(key, value).is_none() {
-            shard.order.push_back(key);
-            while shard.map.len() > self.shard_capacity {
-                let oldest = shard.order.pop_front().expect("order tracks map");
-                shard.map.remove(&oldest);
-                self.evictions.inc();
-            }
+        let hash = key.fnv();
+        if self.shard(hash).insert(key, hash, value) {
+            self.evictions.inc();
         }
     }
 
@@ -216,7 +338,7 @@ impl EvalCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard lock").map.len())
+            .map(|s| s.lock().expect("cache shard lock").entries.len())
             .sum()
     }
 
@@ -230,6 +352,8 @@ impl EvalCache {
 mod tests {
     use super::*;
     use drone_components::battery::CellCount;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, VecDeque};
 
     fn q(capacity: f64) -> DesignQuery {
         DesignQuery::new(450.0, CellCount::S3, capacity)
@@ -311,5 +435,140 @@ mod tests {
         assert_eq!(registry.counter("explorer.cache.misses").get(), 1);
         let _ = cache.get_or_evaluate(&q(3000.0));
         assert_eq!(registry.counter("explorer.cache.hits").get(), 2);
+    }
+
+    /// The FIFO cache the ring-and-index shard replaced, kept as the
+    /// reference: per lock shard a `HashMap` plus a `VecDeque` of
+    /// insertion order, placed by the same hash.
+    struct ModelCache {
+        shards: Vec<(HashMap<CacheKey, CachedEval>, VecDeque<CacheKey>)>,
+        capacity: usize,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl ModelCache {
+        fn new(shards: usize, capacity: usize) -> ModelCache {
+            ModelCache {
+                shards: (0..shards).map(|_| Default::default()).collect(),
+                capacity,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }
+        }
+
+        fn shard(
+            &mut self,
+            key: &CacheKey,
+        ) -> &mut (HashMap<CacheKey, CachedEval>, VecDeque<CacheKey>) {
+            let count = self.shards.len() as u64;
+            &mut self.shards[(key.fnv() % count) as usize]
+        }
+
+        fn get(&mut self, key: &CacheKey) -> Option<CachedEval> {
+            let found = self.shard(key).0.get(key).copied();
+            match found {
+                Some(_) => self.hits += 1,
+                None => self.misses += 1,
+            }
+            found
+        }
+
+        fn insert(&mut self, key: CacheKey, value: CachedEval) {
+            let capacity = self.capacity;
+            let (map, order) = self.shard(&key);
+            let mut evicted = 0;
+            if map.insert(key, value).is_none() {
+                order.push_back(key);
+                while map.len() > capacity {
+                    let oldest = order.pop_front().expect("order tracks map");
+                    map.remove(&oldest);
+                    evicted += 1;
+                }
+            }
+            self.evictions += evicted;
+        }
+
+        fn len(&self) -> usize {
+            self.shards.iter().map(|(map, _)| map.len()).sum()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn shards_evict_and_refresh_like_the_fifo_model(
+            shards in 1usize..5,
+            capacity in 1usize..9,
+            ops in prop::collection::vec((0u8..3, 0usize..24, 0usize..4), 0..160),
+        ) {
+            // A small key pool, so keys recur: re-inserts, hits and
+            // evictions of keys that come back.
+            let keys: Vec<CacheKey> = (0..24)
+                .map(|i| CacheKey::quantize(&q(1000.0 + 25.0 * i as f64)))
+                .collect();
+            let values: Vec<CachedEval> = [3000.0, 5000.0, 150.0, 8000.0]
+                .iter()
+                .map(|&c| drone_dse::eval::evaluate(&q(c).with_payload(c / 10.0)))
+                .collect();
+            let cache = EvalCache::new(shards, capacity);
+            let mut model = ModelCache::new(shards, capacity);
+            let mut last = keys[0];
+            for (step, &(op, k, v)) in ops.iter().enumerate() {
+                match op {
+                    0 => {
+                        cache.insert(keys[k], values[v]);
+                        model.insert(keys[k], values[v]);
+                        last = keys[k];
+                    }
+                    // Re-insert the latest key with a fresh value.
+                    1 => {
+                        cache.insert(last, values[v]);
+                        model.insert(last, values[v]);
+                    }
+                    _ => prop_assert_eq!(cache.get(&keys[k]), model.get(&keys[k]), "step {}", step),
+                }
+                prop_assert_eq!(cache.len(), model.len(), "step {}", step);
+            }
+            for key in &keys {
+                prop_assert_eq!(cache.get(key), model.get(key));
+            }
+            prop_assert_eq!(cache.hit_count(), model.hits);
+            prop_assert_eq!(cache.miss_count(), model.misses);
+            prop_assert_eq!(cache.eviction_count(), model.evictions);
+        }
+    }
+
+    #[test]
+    fn backward_shift_deletion_wraps_past_the_end_of_the_index() {
+        // Four slots, eight buckets; five keys whose home is the last
+        // bucket, so a full shard's cluster runs over the table's end.
+        let mut shard = Shard::new(4);
+        let last = shard.mask();
+        let keys: Vec<CacheKey> = (0..)
+            .map(|i| CacheKey::quantize(&q(1000.0 + i as f64)))
+            .filter(|k| shard.home(tag_of(k.fnv())) == last)
+            .take(5)
+            .collect();
+        let value = drone_dse::eval::evaluate(&q(3000.0));
+        for key in &keys[..4] {
+            assert!(!shard.insert(*key, key.fnv(), value));
+        }
+        let occupied = |shard: &Shard| -> Vec<(usize, u32)> {
+            (0..=last)
+                .filter(|&b| shard.index[b].1 != 0)
+                .map(|b| (b, shard.index[b].1 - 1))
+                .collect()
+        };
+        assert_eq!(occupied(&shard), vec![(0, 1), (1, 2), (2, 3), (last, 0)]);
+        // The fifth key evicts the oldest, in the last bucket; the three
+        // after it shift back one bucket each, the first across the end.
+        assert!(shard.insert(keys[4], keys[4].fnv(), value));
+        assert_eq!(occupied(&shard), vec![(0, 2), (1, 3), (2, 0), (last, 1)]);
+        assert_eq!(shard.get(&keys[0], keys[0].fnv()), None);
+        for key in &keys[1..] {
+            assert_eq!(shard.get(key, key.fnv()), Some(value));
+        }
     }
 }

@@ -176,9 +176,11 @@ impl Explorer {
         let mut resolved: Vec<Option<EvalResult>> = vec![None; points.len()];
         // Unique uncached keys → the index of their first occurrence.
         // FNV-hashed: every cold point probes this map twice (dedup +
-        // duplicate resolution) on top of the cache's own lookups.
-        let mut pending: HashMap<CacheKey, usize, BuildFnv> = HashMap::default();
-        let mut work: Vec<usize> = Vec::new();
+        // duplicate resolution) on top of the cache's own lookups. Sized
+        // for an all-cold call, so it never rehashes while it fills.
+        let mut pending: HashMap<CacheKey, usize, BuildFnv> =
+            HashMap::with_capacity_and_hasher(points.len(), BuildFnv::default());
+        let mut work: Vec<usize> = Vec::with_capacity(points.len());
         // A detailed trace gets per-point spans; an aggregate one gets
         // the `eval.lookup`/`eval.fanout` stage spans.
         let per_point = parent.filter(|p| p.detailed());
@@ -473,6 +475,8 @@ fn run_rounds(
             grid.retain(|point| shard_of(point, shard.count) == shard.index);
         }
         evaluated += grid.len();
+        // Room for every point of the round, so it never rehashes.
+        seen.reserve(grid.len());
         let round_span = parent.map(|p| {
             let mut span = p.child("explore.round", round as u64);
             span.tag("round", round as u64);

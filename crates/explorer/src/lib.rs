@@ -5,11 +5,11 @@
 //! AutoPilot (arXiv:2102.02988) layers automated multi-objective search
 //! over the same SWaP-constrained UAV space. Four pieces compose:
 //!
-//! * [`executor`] — a deterministic work-stealing [`ParallelExecutor`]
-//!   over `std::thread` with one entry point,
-//!   [`ParallelExecutor::try_map_blocked`]: per-worker deques of index
-//!   blocks, steal-from-the-back, one callback per block, results keyed
-//!   by input index so output is byte-identical at any thread count.
+//! * [`executor`] — a deterministic [`ParallelExecutor`]: the calling
+//!   thread plus parked helper threads, with one entry point,
+//!   [`ParallelExecutor::try_map_blocked`]: index blocks claimed from
+//!   one shared cursor, one callback per block, results placed by input
+//!   index so output is byte-identical at any thread count.
 //! * [`cache`] — the [`EvalCache`]: sharded memoization of
 //!   [`drone_dse::eval::evaluate`] keyed by quantized design-point
 //!   coordinates, with hit/miss/eviction counters in `drone-telemetry`.

@@ -25,7 +25,7 @@ use crate::pareto::ParetoFrontier;
 use crate::query::{Constraints, Objective, QueryError, QueryLimits, QueryRanges};
 use drone_dse::eval::{DesignEval, DesignQuery, OBJECTIVE_SENSES};
 use drone_math::stats::{argmax, argmin};
-use drone_math::Sense;
+use drone_math::{BuildFnv, Sense};
 use drone_telemetry::trace::Span;
 use drone_telemetry::{Clock, Counter, Registry, SharedHistogram};
 use std::collections::{HashMap, HashSet};
@@ -202,9 +202,12 @@ pub struct Optimizer<'a> {
     req: &'a OptimizeRequest,
     lattice: Lattice,
     /// Keys already handled this run (dispatched or pre-filtered).
-    seen: HashSet<CacheKey>,
+    /// This run's sets and maps hash with FNV, as the engine's and the
+    /// cache's do: their keys are lattice points of a validated request,
+    /// at most its budget of them, and none is ever iterated.
+    seen: HashSet<CacheKey, BuildFnv>,
     /// Outcome per handled key; `None` = pre-filtered, never evaluated.
-    outcomes: HashMap<CacheKey, Option<EvalResult>>,
+    outcomes: HashMap<CacheKey, Option<EvalResult>, BuildFnv>,
     feasible: Vec<(LatticePoint, DesignEval)>,
     frontier: ParetoFrontier,
     sampled: usize,
@@ -223,8 +226,8 @@ impl<'a> Optimizer<'a> {
             explorer,
             req,
             lattice: Lattice::new(&req.ranges),
-            seen: HashSet::new(),
-            outcomes: HashMap::new(),
+            seen: HashSet::default(),
+            outcomes: HashMap::default(),
             feasible: Vec::new(),
             frontier: ParetoFrontier::new(&OBJECTIVE_SENSES),
             sampled: 0,
@@ -321,7 +324,7 @@ impl<'a> Optimizer<'a> {
         parent: Option<&Span>,
     ) -> Result<(), TaskPanic> {
         let mut batch: Vec<(LatticePoint, DesignQuery, CacheKey)> = Vec::new();
-        let mut batch_keys: HashSet<CacheKey> = HashSet::new();
+        let mut batch_keys: HashSet<CacheKey, BuildFnv> = HashSet::default();
         for point in points {
             let query = self.lattice.query(point);
             let key = CacheKey::quantize(&query);
@@ -426,7 +429,7 @@ impl<'a> Optimizer<'a> {
     /// frontier member, admit what survives, repeat until the frontier
     /// stops producing unexpanded members (or the budget is gone).
     fn refine(&mut self, parent: Option<&Span>) -> Result<usize, TaskPanic> {
-        let mut expanded: HashSet<usize> = HashSet::new();
+        let mut expanded: HashSet<usize, BuildFnv> = HashSet::default();
         let mut waves = 0usize;
         while waves < MAX_WAVES && self.evaluated < self.req.budget {
             let pending: Vec<usize> = self

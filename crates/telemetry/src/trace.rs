@@ -241,7 +241,7 @@ pub struct SpanRecord {
     /// Deterministic annotations in insertion order (cache outcome,
     /// feasibility, cost units, …).
     pub tags: Tags,
-    /// Work-stealing worker the span ran on. Scheduling-dependent:
+    /// Executor worker the span ran on. Scheduling-dependent:
     /// excluded from the deterministic rendering.
     pub worker: Option<usize>,
     /// Clock seconds at open. Scheduling-dependent under a wall clock.

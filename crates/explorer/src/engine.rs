@@ -501,7 +501,11 @@ fn run_rounds(
     for (i, eval) in feasible.iter().enumerate() {
         frontier.insert(i, &eval.objectives());
     }
-    let frontier: Vec<DesignEval> = frontier.members().iter().map(|m| feasible[m.id]).collect();
+    let frontier: Vec<DesignEval> = frontier
+        .member_ids()
+        .iter()
+        .map(|&id| feasible[id])
+        .collect();
     Ok(QueryAnswer {
         name: query.name.clone(),
         best,

@@ -58,7 +58,7 @@ pub use cache::{shard_of, CacheKey, CachedEval, EvalCache};
 pub use engine::{try_run_sharded, EvalHook, EvalResult, Explorer};
 pub use executor::{default_threads, set_default_threads, ParallelExecutor, TaskPanic};
 pub use optimize::{Lattice, LatticePoint, OptimizeAnswer, OptimizeRequest, Strategy};
-pub use pareto::{extract_frontier, extract_frontier_2d, FrontierEntry, ParetoFrontier};
+pub use pareto::{extract_frontier, extract_frontier_2d, ParetoFrontier};
 pub use query::{
     Constraints, GridRange, Objective, Query, QueryAnswer, QueryError, QueryLimits, QueryRanges,
     ShardSpec,

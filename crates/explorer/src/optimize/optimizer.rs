@@ -269,9 +269,9 @@ impl<'a> Optimizer<'a> {
         let best = self.best_of();
         let frontier: Vec<DesignEval> = self
             .frontier
-            .members()
+            .member_ids()
             .iter()
-            .map(|m| self.feasible[m.id].1)
+            .map(|&id| self.feasible[id].1)
             .collect();
         let rounds = if self.pool_sizes.is_empty() {
             1
@@ -434,9 +434,9 @@ impl<'a> Optimizer<'a> {
         while waves < MAX_WAVES && self.evaluated < self.req.budget {
             let pending: Vec<usize> = self
                 .frontier
-                .members()
+                .member_ids()
                 .iter()
-                .map(|m| m.id)
+                .copied()
                 .filter(|id| !expanded.contains(id))
                 .collect();
             if pending.is_empty() {

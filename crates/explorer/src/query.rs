@@ -302,15 +302,21 @@ pub struct QueryRanges {
 
 impl QueryRanges {
     /// Materializes the full grid, cells outermost, in a fixed
-    /// deterministic order.
+    /// deterministic order. Each axis is sampled once up front, so the
+    /// only allocations are one per axis plus the output.
     pub fn grid(&self) -> Vec<DesignQuery> {
+        let wheelbases = self.wheelbase_mm.values();
+        let capacities = self.capacity_mah.values();
+        let computes = self.compute_power_w.values();
+        let twrs = self.twr.values();
+        let payloads = self.payload_g.values();
         let mut points = Vec::with_capacity(self.point_count());
         for &cells in &self.cells {
-            for &wheelbase in &self.wheelbase_mm.values() {
-                for &capacity in &self.capacity_mah.values() {
-                    for &compute in &self.compute_power_w.values() {
-                        for &twr in &self.twr.values() {
-                            for &payload in &self.payload_g.values() {
+            for &wheelbase in &wheelbases {
+                for &capacity in &capacities {
+                    for &compute in &computes {
+                        for &twr in &twrs {
+                            for &payload in &payloads {
                                 points.push(DesignQuery {
                                     wheelbase_mm: wheelbase,
                                     cells,

@@ -33,8 +33,8 @@ use drone_explorer::{
 use drone_telemetry::trace::{
     derive_trace_id_bytes, id_hex, parse_id_hex, TraceBuilder, TraceRing,
 };
-use drone_telemetry::{Clock, Json};
-use std::fmt;
+use drone_telemetry::{json, Clock, Json};
+use std::fmt::{self, Write as _};
 
 /// Most completed span trees one `trace` request may fetch.
 pub const MAX_TRACE_FETCH: usize = 16;
@@ -710,14 +710,8 @@ pub fn cost_units(answer: &QueryAnswer) -> u64 {
 /// weight asc) so the reply bytes are stable however the feasible set
 /// was admitted.
 pub fn answer_to_json(answer: &QueryAnswer) -> Json {
-    let mut members: Vec<&DesignEval> = answer.frontier.iter().collect();
-    members.sort_by(|a, b| {
-        b.flight_time_min
-            .total_cmp(&a.flight_time_min)
-            .then(a.weight_g.total_cmp(&b.weight_g))
-    });
     let mut frontier = Json::arr();
-    for m in members {
+    for m in sorted_frontier(&answer.frontier) {
         frontier.push(eval_to_json(m));
     }
     Json::obj()
@@ -734,7 +728,8 @@ pub fn answer_to_json(answer: &QueryAnswer) -> Json {
         .with("frontier", frontier)
 }
 
-/// A success reply line body.
+/// A success reply line body, as a `Json` tree: the reference
+/// rendering [`render_ok_reply`] must match byte for byte.
 pub fn ok_reply(id: &Json, answer: &QueryAnswer) -> Json {
     Json::obj()
         .with("id", id.clone())
@@ -754,14 +749,8 @@ pub fn optimize_cost_units(answer: &OptimizeAnswer) -> u64 {
 /// scheduling-independent, so reply bytes are stable at any thread
 /// count.
 pub fn optimize_answer_to_json(answer: &OptimizeAnswer) -> Json {
-    let mut members: Vec<&DesignEval> = answer.frontier.iter().collect();
-    members.sort_by(|a, b| {
-        b.flight_time_min
-            .total_cmp(&a.flight_time_min)
-            .then(a.weight_g.total_cmp(&b.weight_g))
-    });
     let mut frontier = Json::arr();
-    for m in members {
+    for m in sorted_frontier(&answer.frontier) {
         frontier.push(eval_to_json(m));
     }
     let mut pool_sizes = Json::arr();
@@ -789,7 +778,8 @@ pub fn optimize_answer_to_json(answer: &OptimizeAnswer) -> Json {
         .with("frontier", frontier)
 }
 
-/// A success reply line body for an optimize request.
+/// A success reply line body for an optimize request, as a `Json` tree:
+/// the reference rendering [`render_ok_optimize_reply`] must match.
 pub fn ok_optimize_reply(id: &Json, answer: &OptimizeAnswer) -> Json {
     Json::obj()
         .with("id", id.clone())
@@ -797,7 +787,8 @@ pub fn ok_optimize_reply(id: &Json, answer: &OptimizeAnswer) -> Json {
         .with("answer", optimize_answer_to_json(answer))
 }
 
-/// An error reply line body.
+/// An error reply line body, as a `Json` tree: the reference rendering
+/// [`render_error_reply`] must match.
 pub fn error_reply(id: &Json, error: &RequestError) -> Json {
     Json::obj().with("id", id.clone()).with("ok", false).with(
         "error",
@@ -805,6 +796,159 @@ pub fn error_reply(id: &Json, error: &RequestError) -> Json {
             .with("kind", error.kind.as_str())
             .with("message", error.message.as_str()),
     )
+}
+
+/// Frontier members in reply order: flight time descending, then
+/// weight ascending. A stable sort, so the reply bytes are the same
+/// however the feasible set was admitted.
+fn sorted_frontier(frontier: &[DesignEval]) -> Vec<&DesignEval> {
+    let mut members: Vec<&DesignEval> = frontier.iter().collect();
+    members.sort_by(|a, b| {
+        b.flight_time_min
+            .total_cmp(&a.flight_time_min)
+            .then(a.weight_g.total_cmp(&b.weight_g))
+    });
+    members
+}
+
+// The direct reply writer. Each `render_*` function below writes the
+// exact bytes its `Json`-tree twin (`ok_reply`, `ok_optimize_reply`,
+// `error_reply`) renders, straight into one `String`, with the same key
+// order and the same number and string spellings (`write_number`,
+// `write_string`). The trees stay as the reference the writer is tested
+// against.
+
+/// Room for one rendered `DesignEval`: ten keys (~135 bytes) plus nine
+/// numbers of at most ~24 characters each for values in the model's
+/// range, rounded up.
+const EVAL_BYTES: usize = 384;
+
+/// Room for a reply's fixed keys and counters.
+const REPLY_HEAD_BYTES: usize = 512;
+
+/// Up-front capacity for a reply carrying `members` frontier members
+/// and a `best`, so rendering one typical reply allocates once.
+fn reply_capacity(name: &str, members: usize) -> usize {
+    REPLY_HEAD_BYTES + name.len() + (members + 1) * EVAL_BYTES
+}
+
+/// Appends `key` (already quoted, with its leading comma and colon)
+/// and a count, spelled as [`Json::from`] spells a `usize`.
+fn write_count(out: &mut String, key: &str, n: usize) {
+    out.push_str(key);
+    json::write_number(out, n as f64);
+}
+
+fn write_eval(out: &mut String, eval: &DesignEval) {
+    let q = &eval.query;
+    out.push_str("{\"wheelbase_mm\":");
+    json::write_number(out, q.wheelbase_mm);
+    // A cell label ("3S") needs no escaping; `Display` writes it in
+    // place.
+    let _ = write!(out, ",\"cells\":\"{}\"", q.cells);
+    for (key, n) in [
+        (",\"capacity_mah\":", q.capacity_mah),
+        (",\"compute_w\":", q.compute_power_w),
+        (",\"twr\":", q.twr),
+        (",\"payload_g\":", q.payload_g),
+        (",\"weight_g\":", eval.weight_g),
+        (",\"flight_min\":", eval.flight_time_min),
+        (",\"hover_w\":", eval.hover_power_w),
+        (",\"compute_share_hover\":", eval.compute_share_hover),
+    ] {
+        out.push_str(key);
+        json::write_number(out, n);
+    }
+    out.push('}');
+}
+
+/// `{"id":<id>,"ok":<ok>` — every reply's opening.
+fn write_reply_head(out: &mut String, id: &Json, ok: bool) {
+    out.push_str("{\"id\":");
+    id.write_compact(out);
+    out.push_str(if ok { ",\"ok\":true" } else { ",\"ok\":false" });
+}
+
+/// `,"best":…,"frontier":[…]}}` — how every ok reply ends.
+fn write_best_and_frontier(out: &mut String, best: Option<&DesignEval>, members: &[&DesignEval]) {
+    out.push_str(",\"best\":");
+    match best {
+        Some(eval) => write_eval(out, eval),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"frontier\":[");
+    for (i, m) in members.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_eval(out, m);
+    }
+    out.push_str("]}}");
+}
+
+/// Renders `ok_reply(id, answer).render()` without building the tree.
+pub fn render_ok_reply(id: &Json, answer: &QueryAnswer) -> String {
+    let members = sorted_frontier(&answer.frontier);
+    let mut out = String::with_capacity(reply_capacity(&answer.name, members.len()));
+    write_reply_head(&mut out, id, true);
+    out.push_str(",\"answer\":{\"name\":");
+    json::write_string(&mut out, &answer.name);
+    write_count(&mut out, ",\"evaluated\":", answer.evaluated);
+    write_count(&mut out, ",\"feasible\":", answer.feasible);
+    write_count(&mut out, ",\"infeasible\":", answer.infeasible);
+    write_count(&mut out, ",\"rounds\":", answer.rounds);
+    out.push_str(",\"cost_units\":");
+    json::write_number(&mut out, cost_units(answer) as f64);
+    write_best_and_frontier(&mut out, answer.best.as_ref(), &members);
+    out
+}
+
+/// Renders `ok_optimize_reply(id, answer).render()` without building
+/// the tree.
+pub fn render_ok_optimize_reply(id: &Json, answer: &OptimizeAnswer) -> String {
+    let members = sorted_frontier(&answer.frontier);
+    let mut out = String::with_capacity(
+        reply_capacity(&answer.name, members.len()) + 24 * answer.pool_sizes.len(),
+    );
+    write_reply_head(&mut out, id, true);
+    out.push_str(",\"answer\":{\"name\":");
+    json::write_string(&mut out, &answer.name);
+    out.push_str(",\"strategy\":");
+    json::write_string(&mut out, answer.strategy.as_str());
+    write_count(&mut out, ",\"sampled\":", answer.sampled);
+    write_count(&mut out, ",\"evaluated\":", answer.evaluated);
+    write_count(&mut out, ",\"coarse_evals\":", answer.coarse_evals);
+    write_count(&mut out, ",\"prefiltered\":", answer.prefiltered);
+    write_count(&mut out, ",\"feasible\":", answer.feasible);
+    write_count(&mut out, ",\"infeasible\":", answer.infeasible);
+    write_count(&mut out, ",\"rounds\":", answer.rounds);
+    write_count(&mut out, ",\"refine_waves\":", answer.refine_waves);
+    out.push_str(",\"pool_sizes\":[");
+    for (i, &p) in answer.pool_sizes.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_number(&mut out, p as f64);
+    }
+    out.push(']');
+    write_count(&mut out, ",\"budget\":", answer.budget);
+    out.push_str(",\"cost_units\":");
+    json::write_number(&mut out, optimize_cost_units(answer) as f64);
+    write_best_and_frontier(&mut out, answer.best.as_ref(), &members);
+    out
+}
+
+/// Renders `error_reply(id, error).render()` without building the
+/// tree.
+pub fn render_error_reply(id: &Json, error: &RequestError) -> String {
+    let mut out = String::with_capacity(REPLY_HEAD_BYTES + error.message.len());
+    write_reply_head(&mut out, id, false);
+    out.push_str(",\"error\":{\"kind\":");
+    json::write_string(&mut out, error.kind.as_str());
+    out.push_str(",\"message\":");
+    json::write_string(&mut out, &error.message);
+    out.push_str("}}");
+    out
 }
 
 /// What one batch did, for the caller's accounting.
@@ -1066,20 +1210,22 @@ pub(crate) fn handle_batch_core(
         .into_iter()
         .map(|disposition| match disposition {
             Disposition::Run(request, work) => {
-                let mut reply: Option<Json> = None;
+                let mut reply: Option<String> = None;
                 trace_request(&request, &mut |mut root| {
                     let result = match &work {
-                        Work::Query(query) => {
-                            try_run_sharded(backend.shards(), query, root.as_deref())
-                                .map(|answer| (cost_units(&answer), ok_reply(&request.id, &answer)))
-                        }
+                        Work::Query(query) => try_run_sharded(
+                            backend.shards(),
+                            query,
+                            root.as_deref(),
+                        )
+                        .map(|answer| (cost_units(&answer), render_ok_reply(&request.id, &answer))),
                         // Only a single-engine backend admits these.
                         Work::Optimize(req) => backend.shards()[0]
                             .try_optimize(req, root.as_deref())
                             .map(|answer| {
                                 (
                                     optimize_cost_units(&answer),
-                                    ok_optimize_reply(&request.id, &answer),
+                                    render_ok_optimize_reply(&request.id, &answer),
                                 )
                             }),
                     };
@@ -1108,11 +1254,11 @@ pub(crate) fn handle_batch_core(
                                 kind: ErrorKind::Internal,
                                 message: panic.to_string(),
                             };
-                            error_reply(&request.id, &error)
+                            render_error_reply(&request.id, &error)
                         }
                     });
                 });
-                ReplySlot::Line(reply.expect("record ran").render())
+                ReplySlot::Line(reply.expect("record ran"))
             }
             Disposition::Shed(request, error) => {
                 outcome.deadline_sheds += 1;
@@ -1121,7 +1267,7 @@ pub(crate) fn handle_batch_core(
                         root.tag("outcome", "deadline_exceeded");
                     }
                 });
-                ReplySlot::Line(error_reply(&request.id, &error).render())
+                ReplySlot::Line(render_error_reply(&request.id, &error))
             }
             Disposition::Admin(id, request) => {
                 outcome.admin_requests += 1;
@@ -1133,7 +1279,7 @@ pub(crate) fn handle_batch_core(
                 } else {
                     outcome.protocol_errors += 1;
                 }
-                ReplySlot::Line(error_reply(&id, &error).render())
+                ReplySlot::Line(render_error_reply(&id, &error))
             }
         })
         .collect();
@@ -1721,5 +1867,187 @@ mod tests {
         assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("answer").unwrap().get("best"), Some(&Json::Null));
         assert_eq!(outcome.answered, 1);
+    }
+
+    /// The direct writer against the `Json`-tree reference render, on
+    /// answers, ids and messages no real query produces.
+    mod writer {
+        use super::super::{
+            error_reply, ok_optimize_reply, ok_reply, render_error_reply, render_ok_optimize_reply,
+            render_ok_reply, ErrorKind, RequestError,
+        };
+        use drone_components::battery::CellCount;
+        use drone_dse::eval::{DesignEval, DesignQuery};
+        use drone_explorer::{OptimizeAnswer, QueryAnswer, Strategy as Search};
+        use drone_telemetry::Json;
+        use proptest::prelude::*;
+
+        /// Numbers whose spelling is easy to get wrong: non-finite,
+        /// signed zero, subnormals, the switch to exponent notation,
+        /// integers past 2^53, plus arbitrary normal values.
+        fn number() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                prop::sample::select(vec![
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    0.0,
+                    -0.0,
+                    f64::from_bits(1),
+                    -f64::MIN_POSITIVE / 3.0,
+                    f64::MIN_POSITIVE,
+                    1e21,
+                    1e-7,
+                    9_007_199_254_740_993.0,
+                    2f64.powi(60),
+                    f64::MAX,
+                    0.1,
+                    1.0 / 3.0,
+                ]),
+                any::<f64>(),
+                -1.0e4f64..1.0e4,
+            ]
+        }
+
+        /// Counts: small ones and ones past 2^53, which the reply
+        /// spells as the nearest `f64`.
+        fn count() -> impl Strategy<Value = usize> {
+            prop_oneof![0usize..1000, any::<usize>(), Just((1usize << 53) + 1)]
+        }
+
+        /// Text with quotes, backslashes, control characters and
+        /// non-ASCII characters.
+        fn text() -> impl Strategy<Value = String> {
+            let chars = vec![
+                'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{1f}',
+                '\u{7f}', 'é', '∑', '🚁',
+            ];
+            prop::collection::vec(prop::sample::select(chars), 0..12)
+                .prop_map(|chars| chars.into_iter().collect())
+        }
+
+        fn eval() -> impl Strategy<Value = DesignEval> {
+            (
+                prop::sample::select(CellCount::ALL.to_vec()),
+                prop::collection::vec(number(), 11..12),
+            )
+                .prop_map(|(cells, n)| DesignEval {
+                    query: DesignQuery {
+                        wheelbase_mm: n[0],
+                        cells,
+                        capacity_mah: n[1],
+                        compute_power_w: n[2],
+                        twr: n[3],
+                        payload_g: n[4],
+                    },
+                    weight_g: n[5],
+                    hover_power_w: n[6],
+                    maneuver_power_w: n[7],
+                    flight_time_min: n[8],
+                    compute_share_hover: n[9],
+                    compute_share_maneuver: n[10],
+                })
+        }
+
+        fn best() -> impl Strategy<Value = Option<DesignEval>> {
+            prop_oneof![Just(None), eval().prop_map(Some)]
+        }
+
+        fn scalar() -> impl Strategy<Value = Json> {
+            prop_oneof![
+                Just(Json::Null),
+                any::<bool>().prop_map(Json::Bool),
+                number().prop_map(Json::Num),
+                text().prop_map(Json::Str),
+            ]
+        }
+
+        /// Every JSON kind, nested up to three levels.
+        fn id() -> impl Strategy<Value = Json> {
+            let object = || {
+                let array = prop::collection::vec(scalar(), 0..4).prop_map(Json::Arr);
+                prop::collection::vec((text(), prop_oneof![scalar(), array]), 0..4)
+                    .prop_map(Json::Obj)
+            };
+            prop_oneof![
+                scalar(),
+                prop::collection::vec(object(), 0..3).prop_map(Json::Arr),
+                object(),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn ok_replies_match_the_tree_render(
+                id in id(),
+                name in text(),
+                frontier in prop::collection::vec(eval(), 0..12),
+                best in best(),
+                counts in prop::collection::vec(count(), 4..5),
+            ) {
+                let answer = QueryAnswer {
+                    name,
+                    best,
+                    frontier,
+                    evaluated: counts[0],
+                    feasible: counts[1],
+                    infeasible: counts[2],
+                    rounds: counts[3],
+                };
+                prop_assert_eq!(render_ok_reply(&id, &answer), ok_reply(&id, &answer).render());
+            }
+
+            #[test]
+            fn optimize_replies_match_the_tree_render(
+                id in id(),
+                name in text(),
+                strategy in prop::sample::select(Search::ALL.to_vec()),
+                frontier in prop::collection::vec(eval(), 0..12),
+                best in best(),
+                pool_sizes in prop::collection::vec(count(), 0..5),
+                counts in prop::collection::vec(count(), 9..10),
+            ) {
+                let answer = OptimizeAnswer {
+                    name,
+                    strategy,
+                    best,
+                    frontier,
+                    sampled: counts[0],
+                    evaluated: counts[1],
+                    coarse_evals: counts[2],
+                    prefiltered: counts[3],
+                    feasible: counts[4],
+                    infeasible: counts[5],
+                    rounds: counts[6],
+                    refine_waves: counts[7],
+                    pool_sizes,
+                    budget: counts[8],
+                };
+                prop_assert_eq!(
+                    render_ok_optimize_reply(&id, &answer),
+                    ok_optimize_reply(&id, &answer).render()
+                );
+            }
+
+            #[test]
+            fn error_replies_match_the_tree_render(
+                id in id(),
+                kind in prop::sample::select(vec![
+                    ErrorKind::Parse,
+                    ErrorKind::BadRequest,
+                    ErrorKind::InvalidQuery,
+                    ErrorKind::TooLarge,
+                    ErrorKind::Overloaded,
+                    ErrorKind::DeadlineExceeded,
+                    ErrorKind::Internal,
+                ]),
+                message in text(),
+            ) {
+                let error = RequestError { kind, message };
+                prop_assert_eq!(render_error_reply(&id, &error), error_reply(&id, &error).render());
+            }
+        }
     }
 }

@@ -128,7 +128,8 @@ struct Inbox {
 struct Conn {
     stream: TcpStream,
     framer: LineFramer,
-    out: Vec<u8>,
+    /// Reply bytes not yet written; handlers append to it directly.
+    out: String,
     out_pos: usize,
     /// Armed iff the peer owes a newline; the earliest one bounds the
     /// reactor's `epoll_wait` timeout.
@@ -423,7 +424,7 @@ fn admit_pending(
         slab[slot] = Some(Conn {
             stream,
             framer: LineFramer::new(config.max_line_bytes),
-            out: Vec::new(),
+            out: String::new(),
             out_pos: 0,
             deadline: None,
             registered_in: true,
@@ -553,36 +554,35 @@ fn drain_readable(
 
 /// Plays framer events in input order into the outbuf: runs of complete
 /// lines become handler batches, an oversized line becomes one
-/// `too_large` refusal.
+/// `too_large` refusal. Handlers append their replies to the outbuf
+/// itself, so each reply is copied once on its way to the socket.
 fn dispatch_events(events: &mut Vec<FrameEvent>, conn: &mut Conn, handler: &dyn LineHandler) {
     let mut lines: Vec<String> = Vec::new();
-    let mut reply = String::new();
     for event in events.drain(..) {
         match event {
             FrameEvent::Line(line) => lines.push(line),
             FrameEvent::TooLarge => {
                 if !lines.is_empty() {
-                    handler.handle_lines(&lines, &mut reply);
+                    handler.handle_lines(&lines, &mut conn.out);
                     lines.clear();
                 }
-                reply.push_str(
+                conn.out.push_str(
                     &handler.refusal(ErrorKind::TooLarge, "request line exceeds size cap"),
                 );
-                reply.push('\n');
+                conn.out.push('\n');
             }
         }
     }
     if !lines.is_empty() {
-        handler.handle_lines(&lines, &mut reply);
+        handler.handle_lines(&lines, &mut conn.out);
     }
-    conn.out.extend_from_slice(reply.as_bytes());
 }
 
 /// Writes as much of the outbuf as the socket accepts. Returns false on
 /// a connection error.
 fn flush_out(conn: &mut Conn) -> bool {
     while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
+        match conn.stream.write(&conn.out.as_bytes()[conn.out_pos..]) {
             Ok(0) => return false,
             Ok(n) => conn.out_pos += n,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
@@ -641,12 +641,11 @@ fn sweep_deadlines(
         if conn.closing || conn.deadline.is_none_or(|d| d > now) {
             continue;
         }
-        let mut reply = handler.refusal(
+        conn.out.push_str(&handler.refusal(
             ErrorKind::DeadlineExceeded,
             "no complete request line within the progress deadline",
-        );
-        reply.push('\n');
-        conn.out.extend_from_slice(reply.as_bytes());
+        ));
+        conn.out.push('\n');
         conn.deadline = None;
         conn.closing = true;
         if !flush_out(conn) || conn.out_pos >= conn.out.len() {

@@ -212,7 +212,7 @@ impl EngineService {
                 };
                 let slots = batch
                     .iter()
-                    .map(|_| ReplySlot::Line(protocol::error_reply(&Json::Null, &error).render()))
+                    .map(|_| ReplySlot::Line(protocol::render_error_reply(&Json::Null, &error)))
                     .collect();
                 let outcome = protocol::BatchOutcome {
                     internal_errors: batch.len(),
@@ -250,26 +250,24 @@ impl LineHandler for EngineService {
             _ => &self.metrics.protocol_errors,
         };
         counter.inc();
-        protocol::error_reply(
+        protocol::render_error_reply(
             &Json::Null,
             &RequestError {
                 kind,
                 message: message.into(),
             },
         )
-        .render()
     }
 
     /// One structured overload line for a connection shed at the door.
     fn overloaded(&self) -> String {
         self.metrics.sheds.inc();
-        protocol::error_reply(
+        protocol::render_error_reply(
             &Json::Null,
             &RequestError {
                 kind: ErrorKind::Overloaded,
                 message: "queue full; retry later".into(),
             },
         )
-        .render()
     }
 }

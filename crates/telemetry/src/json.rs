@@ -119,8 +119,14 @@ impl Json {
     /// Compact single-line rendering.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the compact rendering ([`Json::render`]) to `out`, for
+    /// writers that build a document's text directly.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Pretty rendering with two-space indentation (the `BENCH_*.json`
@@ -207,10 +213,12 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-/// Rust's `f64` Display is the shortest decimal that round-trips, which
-/// is exactly what a stable artifact format wants. JSON has no spelling
-/// for non-finite numbers, so those degrade to `null`.
-fn write_number(out: &mut String, n: f64) {
+/// Appends the JSON spelling of a number to `out`, exactly as
+/// [`Json::Num`] renders. Rust's `f64` Display is the shortest decimal
+/// that round-trips, which is exactly what a stable artifact format
+/// wants. JSON has no spelling for non-finite numbers, so those degrade
+/// to `null`.
+pub fn write_number(out: &mut String, n: f64) {
     if n.is_finite() {
         // Formats in place: writing to a `String` cannot fail.
         let _ = write!(out, "{n}");
@@ -219,7 +227,9 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a quoted, escaped JSON string to `out`, exactly as
+/// [`Json::Str`] renders.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -423,18 +433,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one full UTF-8 character. `peek` only proves a
-                    // byte is present; the decode can still fail on hostile
-                    // input, so both steps return typed errors rather than
-                    // panicking.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.error("empty UTF-8 run in string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash at once, validating only that run: both
+                    // are ASCII, so a run of the `&str` input is whole
+                    // characters, and the check returns a typed error
+                    // rather than panicking should that ever slip.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    let text = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.error("invalid UTF-8"))?;
+                    out.push_str(text);
                 }
             }
         }
@@ -563,6 +575,35 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let parsed = Json::parse(r#"{"s":"café\tnoir é"}"#).unwrap();
         assert_eq!(parsed.get("s").unwrap().as_str().unwrap(), "café\tnoir é");
+    }
+
+    #[test]
+    fn a_64_kib_string_parses_exactly_in_linear_time() {
+        // Plain runs, multi-byte characters and escapes interleaved, at
+        // the size of a line the reactor's default cap admits. Decoding
+        // the whole remaining input per character took about 0.1 s for
+        // this in a release build and seconds in a debug one; copying
+        // each run at once takes a few milliseconds.
+        let unit = "design point é ∑ 🚁 \"quoted\" back\\slash\n\t\u{1};";
+        let text = unit.repeat(64 * 1024 / unit.len() + 1);
+        let rendered = Json::from(text.as_str()).render();
+        assert!(rendered.len() >= 64 * 1024);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&rendered).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_millis(250),
+            "parsing a {}-byte string took {elapsed:?}",
+            rendered.len()
+        );
+    }
+
+    #[test]
+    fn unterminated_strings_and_bad_escapes_are_typed_errors() {
+        for bad in ["\"abc", "\"é∑", "\"a\\", "\"a\\é\"", "\"\\u00\""] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! The `roofline` experiment: where does the batched evaluation kernel
 //! sit relative to the machine's ceilings, and what explains the gap?
 //!
-//! Four routes evaluate the same 10k-point Figure 10-style grid:
+//! Three routes evaluate the same 10k-point Figure 10-style grid:
 //!
 //! * `kernel_serial` — the scalar reference kernel, one
 //!   [`drone_dse::eval::evaluate`] call per point;
 //! * `kernel_batched` — the struct-of-arrays
 //!   [`drone_dse::eval::evaluate_many`] kernel;
-//! * `engine_serial_cold` — the pre-batching engine route: one
-//!   [`EvalCache::get_or_evaluate`] per point against a cold cache;
 //! * `engine_batched_cold` / `engine_batched_threads` — the current
 //!   engine path (cache partition + batched kernel) on a cold cache,
 //!   single-threaded and at the `--threads` worker count.
@@ -36,7 +34,7 @@ use crate::experiments::Report;
 use crate::table::{f, Table};
 use drone_components::battery::CellCount;
 use drone_dse::eval::{evaluate, BatchProfile, DesignQuery, EvalBatch};
-use drone_explorer::{EvalCache, Explorer, GridRange, QueryRanges};
+use drone_explorer::{Explorer, GridRange, QueryRanges};
 use drone_telemetry::Json;
 use std::hint::black_box;
 use std::time::Instant;
@@ -154,14 +152,6 @@ pub fn roofline() -> Report {
     let batched_ns = best_ns(5, || {
         black_box(EvalBatch::new(black_box(&grid)).run());
     });
-    let engine_serial_ns = best_ns(3, || {
-        let cache = EvalCache::with_defaults();
-        black_box(
-            grid.iter()
-                .map(|q| cache.get_or_evaluate(q))
-                .collect::<Vec<_>>(),
-        );
-    });
     let engine_batched_ns = best_ns(3, || {
         black_box(Explorer::new(1).evaluate_points(black_box(&grid)));
     });
@@ -240,10 +230,6 @@ pub fn roofline() -> Report {
                             mode_json(batched_ns, points, flops, bytes, serial_ns),
                         )
                         .with(
-                            "engine_serial_cold",
-                            mode_json(engine_serial_ns, points, flops, bytes, serial_ns),
-                        )
-                        .with(
                             "engine_batched_cold",
                             mode_json(engine_batched_ns, points, flops, bytes, serial_ns),
                         )
@@ -284,7 +270,6 @@ pub fn roofline() -> Report {
     for (name, ns) in [
         ("kernel_serial", serial_ns),
         ("kernel_batched", batched_ns),
-        ("engine_serial_cold", engine_serial_ns),
         ("engine_batched_cold", engine_batched_ns),
         (
             match threads {

@@ -104,26 +104,24 @@ impl DesignSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`DesignError`] when the spec cannot fly: the sizing
-    /// diverges (weight grows faster than thrust), the motors demand
-    /// more current than the battery can discharge, or inputs are
-    /// invalid.
+    /// Returns [`DesignError`] when the spec cannot fly: it lies outside
+    /// the design envelope ([`check_envelope`]), the sizing diverges
+    /// (weight grows faster than thrust), or the motors demand more
+    /// current than the battery can discharge.
     pub fn size(&self) -> Result<SizedDrone, DesignError> {
-        if !(1.05..=10.0).contains(&self.twr) {
-            return Err(DesignError::InvalidTwr(self.twr));
-        }
-        if self.wheelbase_mm < 30.0 || self.wheelbase_mm > 1500.0 {
-            return Err(DesignError::InvalidWheelbase(self.wheelbase_mm));
-        }
-        let frame = Frame::from_model(Millimeters(self.wheelbase_mm));
-        let propeller = Propeller::standard(frame.max_propeller_inches());
         // Sized packs get a 60C rating — the high-discharge family a
         // TWR-2 design would actually buy.
-        let battery = Battery::from_model(self.cells, self.capacity, 60.0);
+        let (fixed, battery) =
+            check_envelope(self.twr, self.wheelbase_mm, self.capacity.0, || {
+                let battery = Battery::from_model(self.cells, self.capacity, 60.0);
+                ((self.basic_weight() + battery.weight).0, battery)
+            })?;
+        let frame = Frame::from_model(Millimeters(self.wheelbase_mm));
+        let propeller = Propeller::standard(frame.max_propeller_inches());
         let voltage = battery.nominal_voltage();
 
         // Fixed point: motors/ESCs must lift their own weight.
-        let fixed = self.basic_weight() + battery.weight;
+        let fixed = Grams(fixed);
         let mut motor_esc_prop = Grams(0.0);
         let mut motor = None;
         let mut esc = None;
@@ -172,6 +170,39 @@ impl DesignSpec {
     }
 }
 
+/// The design envelope: the one rule for which points the Eq. 1–2
+/// sizing admits, called by [`DesignSpec::size`], the batched kernel
+/// and the explorer's pre-filter. In order: TWR in 1.05–10, wheelbase
+/// in 30–1500 mm, capacity > 0, and the starting weight (basic +
+/// battery, which the fixed point only adds to) > 0; NaN fails each.
+/// `starting_weight` runs only once the first three pass, and returns
+/// the weight in grams plus whatever it built on the way.
+///
+/// # Errors
+///
+/// The [`DesignError`] of the first check that fails.
+pub fn check_envelope<T>(
+    twr: f64,
+    wheelbase_mm: f64,
+    capacity_mah: f64,
+    starting_weight: impl FnOnce() -> (f64, T),
+) -> Result<(f64, T), DesignError> {
+    if !(1.05..=10.0).contains(&twr) {
+        return Err(DesignError::InvalidTwr(twr));
+    }
+    if !(30.0..=1500.0).contains(&wheelbase_mm) {
+        return Err(DesignError::InvalidWheelbase(wheelbase_mm));
+    }
+    if capacity_mah.is_nan() || capacity_mah <= 0.0 {
+        return Err(DesignError::InvalidCapacity(capacity_mah));
+    }
+    let (weight, built) = starting_weight();
+    if weight.is_nan() || weight <= 0.0 {
+        return Err(DesignError::InvalidStartingWeight(weight));
+    }
+    Ok((weight, built))
+}
+
 /// Why a design cannot be realized.
 ///
 /// Carries only plain numbers so constructing one on the hot path never
@@ -185,6 +216,13 @@ pub enum DesignError {
     InvalidTwr(f64),
     /// The wheelbase is outside the modelled 30–1500 mm range.
     InvalidWheelbase(f64),
+    /// The battery capacity (mAh) is not positive.
+    InvalidCapacity(f64),
+    /// The sizing's starting weight (basic + battery, g) is not positive.
+    InvalidStartingWeight(f64),
+    /// A sized design's hover power (W) is not positive: a negative
+    /// compute power outweighs propulsion.
+    NonPositiveHoverPower(f64),
     /// The weight/thrust fixed point diverged (motors can't lift
     /// themselves at this TWR).
     SizingDiverged,
@@ -204,6 +242,13 @@ impl fmt::Display for DesignError {
             DesignError::InvalidWheelbase(wheelbase) => {
                 write!(f, "invalid design parameter: wheelbase {wheelbase} mm")
             }
+            DesignError::InvalidCapacity(c) => {
+                write!(f, "invalid design parameter: capacity {c} mAh")
+            }
+            DesignError::InvalidStartingWeight(w) => {
+                write!(f, "invalid design parameter: starting weight {w} g")
+            }
+            DesignError::NonPositiveHoverPower(p) => write!(f, "hover power {p} W is not positive"),
             DesignError::SizingDiverged => f.write_str("sizing fixed point diverged"),
             DesignError::BatteryDischargeLimit {
                 required,

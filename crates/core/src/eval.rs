@@ -22,8 +22,10 @@
 //! Both use the paper's power model ([`PowerModel::paper_defaults`])
 //! and record nothing: a caller that traces a point (the explorer's
 //! `eval.size`/`eval.power` leaves) does so around these calls.
+//! Both are total: any [`DesignQuery`], NaN included, gets an answer,
+//! a typed [`DesignError`] at worst.
 
-use crate::design::{DesignError, DesignSpec, WIRING_FRACTION};
+use crate::design::{check_envelope, DesignError, DesignSpec, WIRING_FRACTION};
 use crate::power::{FlyingLoad, PowerModel};
 use drone_components::battery::CellCount;
 use drone_components::frame::Frame;
@@ -158,18 +160,22 @@ impl DesignEval {
 ///
 /// # Errors
 ///
-/// Returns [`DesignError`] when the point cannot fly (sizing diverges,
-/// the battery cannot discharge fast enough, or a parameter is out of
-/// the modelled range).
+/// Returns [`DesignError`] when the point cannot fly: it lies outside
+/// the design envelope ([`check_envelope`]), the sizing diverges, the
+/// battery cannot discharge fast enough, or a negative compute power
+/// leaves no positive hover power.
 pub fn evaluate(query: &DesignQuery) -> Result<DesignEval, DesignError> {
     let model = PowerModel::paper_defaults();
     let drone = query.to_spec().size()?;
-    let hover = model.average_power(&drone, FlyingLoad::Hover);
+    let hover_w = model.average_power(&drone, FlyingLoad::Hover).total().0;
+    if hover_w.is_nan() || hover_w <= 0.0 {
+        return Err(DesignError::NonPositiveHoverPower(hover_w));
+    }
     let maneuver = model.average_power(&drone, FlyingLoad::Maneuver);
     Ok(DesignEval {
         query: *query,
         weight_g: drone.total_weight.0,
-        hover_power_w: hover.total().0,
+        hover_power_w: hover_w,
         maneuver_power_w: maneuver.total().0,
         flight_time_min: model.flight_time(&drone, FlyingLoad::Hover).0,
         compute_share_hover: model.compute_share(&drone, FlyingLoad::Hover),
@@ -184,14 +190,8 @@ pub fn evaluate(query: &DesignQuery) -> Result<DesignEval, DesignError> {
 /// # Errors
 ///
 /// Each slot carries its own [`DesignError`] exactly as [`evaluate`]
-/// would have returned it.
-///
-/// # Panics
-///
-/// Panics exactly when some point would make [`evaluate`] panic (NaN
-/// wheelbase, non-positive capacity, non-positive thrust demand, …),
-/// with the same message — though not necessarily at the same point
-/// ordinal, since lanes advance together.
+/// would have returned it. Like [`evaluate`], it never panics on its
+/// input.
 pub fn evaluate_many(queries: &[DesignQuery]) -> Vec<Result<DesignEval, DesignError>> {
     EvalBatch::new(queries).run()
 }
@@ -206,7 +206,8 @@ pub struct BatchProfile {
     pub points: usize,
     /// Points that sized and passed every feasibility gate.
     pub feasible: usize,
-    /// Points rejected before sizing (TWR / wheelbase range).
+    /// Points outside the design envelope ([`check_envelope`]) or sized
+    /// with no positive hover power.
     pub invalid_parameter: usize,
     /// Points whose fixed point diverged.
     pub diverged: usize,
@@ -232,10 +233,10 @@ struct CellTable {
 
 /// Per-wheelbase geometry, computed once per *unique* wheelbase in the
 /// batch through the real `Frame`/`Propeller` constructors (so the
-/// values — and any input-assert panics — are exactly the scalar
-/// kernel's). Hoisting these is where the batched kernel's speed comes
-/// from: the scalar path re-derives `Ct^1.5` (a `powf`) twice per
-/// sizing iteration; here it happens once per wheelbase.
+/// values are exactly the scalar kernel's). Hoisting these is where the
+/// batched kernel's speed comes from: the scalar path re-derives
+/// `Ct^1.5` (a `powf`) twice per sizing iteration; here it happens once
+/// per wheelbase.
 #[derive(Debug, Clone, Copy)]
 struct WheelbaseTable {
     /// Frame weight, g.
@@ -282,29 +283,28 @@ pub struct ModelTables {
 impl ModelTables {
     /// Builds the tables for a batch: one `CellTable` per cell count
     /// and one geometry entry per unique wheelbase among the points the
-    /// scalar kernel would actually size (points outside the TWR or
-    /// wheelbase envelope resolve to typed errors before touching any
-    /// component model, so their geometry is never computed — exactly
-    /// like the scalar early returns).
+    /// envelope ([`check_envelope`]) weighs — like the scalar kernel's
+    /// early returns, earlier envelope errors touch no component model.
     pub fn for_queries(queries: &[DesignQuery]) -> ModelTables {
-        let cells = CellCount::ALL.map(|c| CellTable {
-            voltage: c.nominal_voltage().0,
-            battery_fit: drone_components::paper::battery_weight_fit(c),
-        });
-        let mut wheelbases: HashMap<u64, WheelbaseTable, BuildFnv> = HashMap::default();
-        for q in queries {
-            if !(1.05..=10.0).contains(&q.twr) || q.wheelbase_mm < 30.0 || q.wheelbase_mm > 1500.0 {
-                continue;
-            }
-            wheelbases
-                .entry(q.wheelbase_mm.to_bits())
-                .or_insert_with(|| WheelbaseTable::for_wheelbase(q.wheelbase_mm));
-        }
-        ModelTables {
-            cells,
+        let mut tables = ModelTables {
+            cells: CellCount::ALL.map(|c| CellTable {
+                voltage: c.nominal_voltage().0,
+                battery_fit: drone_components::paper::battery_weight_fit(c),
+            }),
             esc_fit: drone_components::paper::esc_long_flight_fit(),
-            wheelbases,
+            wheelbases: HashMap::default(),
+        };
+        for q in queries {
+            let cell = &tables.cells[q.cells.cells() as usize - 1];
+            let _ = check_envelope(q.twr, q.wheelbase_mm, q.capacity_mah, || {
+                let wb = tables
+                    .wheelbases
+                    .entry(q.wheelbase_mm.to_bits())
+                    .or_insert_with(|| WheelbaseTable::for_wheelbase(q.wheelbase_mm));
+                (starting_weight(q, wb, cell), ())
+            });
         }
+        tables
     }
 
     /// Unique wheelbases with hoisted geometry.
@@ -321,6 +321,15 @@ impl ModelTables {
             .get(&wheelbase_mm.to_bits())
             .expect("geometry hoisted for every admissible wheelbase")
     }
+}
+
+/// `DesignSpec::basic_weight()` plus battery weight from the tables,
+/// with the `DesignQuery::to_spec` constants (Table 4 compute trend,
+/// 15 g sensors), in the same `Grams` addition order.
+fn starting_weight(q: &DesignQuery, wb: &WheelbaseTable, cell: &CellTable) -> f64 {
+    let compute_weight = 10.0 + 4.0 * q.compute_power_w;
+    let basic = ((wb.frame_weight + compute_weight) + 15.0) + q.payload_g;
+    basic + cell.battery_fit.predict(q.capacity_mah)
 }
 
 /// A batch of design points laid out for the struct-of-arrays kernel:
@@ -387,29 +396,14 @@ impl Lanes {
         }
     }
 
-    fn push(&mut self, point: usize, q: &DesignQuery, wb: &WheelbaseTable, cell: &CellTable) {
-        // `Battery::new`'s input asserts, in its order, so degenerate
-        // capacities panic with the scalar kernel's message.
-        assert!(q.capacity_mah > 0.0, "capacity must be positive");
-        let battery_weight = cell.battery_fit.predict(q.capacity_mah);
-        assert!(battery_weight > 0.0, "weight must be positive");
-        // `DesignSpec::basic_weight()` with the `DesignQuery::to_spec`
-        // constants (Table 4 compute trend, 15 g sensors), in the same
-        // `Grams` addition order.
-        let compute_weight = 10.0 + 4.0 * q.compute_power_w;
-        let basic = ((wb.frame_weight + compute_weight) + 15.0) + q.payload_g;
-        let fixed = basic + battery_weight;
-        // `Motor::size_for`'s thrust assert, hoisted out of the sizing
-        // loop: the first iteration's thrust (`mep = 0`, same ops) is
-        // non-positive or NaN exactly when every later iteration's
-        // would be — the loop only ever *adds* positive motor/ESC/prop
-        // weight, and a runaway estimate trips the divergence gate
-        // before it can poison the next round. Checking here keeps the
-        // hot loop branch- and panic-free.
-        let wiring1 = (fixed + 0.0) * WIRING_FRACTION;
-        let total1 = (fixed + 0.0) + wiring1;
-        let thrust1 = total1 / 1000.0 * STANDARD_GRAVITY * q.twr / 4.0;
-        assert!(thrust1 > 0.0, "thrust must be positive");
+    fn push(
+        &mut self,
+        point: usize,
+        q: &DesignQuery,
+        fixed: f64,
+        wb: &WheelbaseTable,
+        cell: &CellTable,
+    ) {
         self.point.push(point);
         self.fixed.push(fixed);
         self.twr.push(q.twr);
@@ -479,20 +473,21 @@ impl<'q> EvalBatch<'q> {
             vec![None; self.queries.len()];
 
         // Gather: envelope errors resolve immediately (the scalar
-        // kernel returns before touching any component model); every
-        // other point gets a contiguous lane.
+        // kernel returns before sizing); every other point gets a
+        // contiguous lane.
         let mut lanes = Lanes::with_capacity(self.queries.len());
         for (i, q) in self.queries.iter().enumerate() {
-            if !(1.05..=10.0).contains(&q.twr) {
-                results[i] = Some(Err(DesignError::InvalidTwr(q.twr)));
-                profile.invalid_parameter += 1;
-            } else if q.wheelbase_mm < 30.0 || q.wheelbase_mm > 1500.0 {
-                results[i] = Some(Err(DesignError::InvalidWheelbase(q.wheelbase_mm)));
-                profile.invalid_parameter += 1;
-            } else {
+            let cell = self.tables.cell(q.cells);
+            let admitted = check_envelope(q.twr, q.wheelbase_mm, q.capacity_mah, || {
                 let wb = self.tables.wheelbase(q.wheelbase_mm);
-                let cell = self.tables.cell(q.cells);
-                lanes.push(i, q, wb, cell);
+                (starting_weight(q, wb, cell), wb)
+            });
+            match admitted {
+                Ok((fixed, wb)) => lanes.push(i, q, fixed, wb, cell),
+                Err(error) => {
+                    results[i] = Some(Err(error));
+                    profile.invalid_parameter += 1;
+                }
             }
         }
 
@@ -522,8 +517,9 @@ impl<'q> EvalBatch<'q> {
     ///   the FPU pipelines them at throughput instead of the scalar
     ///   kernel's one-per-iteration latency chain), and the
     ///   current/ESC/convergence epilogue.
-    /// * No asserts or early exits in any pass — the input assert is
-    ///   hoisted to [`Lanes::push`], feasibility is a mask lane.
+    /// * No asserts or early exits in any pass — the gather admitted
+    ///   only points inside the design envelope, whose thrust demand
+    ///   is positive in every iteration; feasibility is a mask lane.
     fn size_fixed_point(&self, lanes: &mut Lanes, profile: &mut BatchProfile) {
         const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
         let esc_fit = self.tables.esc_fit;
@@ -656,8 +652,12 @@ impl<'q> EvalBatch<'q> {
             let hover_total = (propulsion_hover + compute) + 0.5;
             let propulsion_maneuver = voltage * (required * maneuver_fraction);
             let maneuver_total = (propulsion_maneuver + compute) + 0.5;
-            // Eq. 4–5 through the real unit methods: same ops, same
-            // panic on a non-positive total power.
+            if hover_total.is_nan() || hover_total <= 0.0 {
+                results[i] = Some(Err(DesignError::NonPositiveHoverPower(hover_total)));
+                profile.invalid_parameter += 1;
+                continue;
+            }
+            // Eq. 4–5 through the real unit methods, same ops.
             let stored = lanes.capacity[l] / 1000.0 * voltage;
             let usable = stored * model.drain_limit * model.power_efficiency;
             let flight_time = WattHours(usable).duration_at(Watts(hover_total)).0;
@@ -779,6 +779,11 @@ mod tests {
                 Err(DesignError::InvalidWheelbase(_)) => 2,
                 Err(DesignError::SizingDiverged) => 3,
                 Err(DesignError::BatteryDischargeLimit { .. }) => 4,
+                Err(
+                    DesignError::InvalidCapacity(_)
+                    | DesignError::InvalidStartingWeight(_)
+                    | DesignError::NonPositiveHoverPower(_),
+                ) => unreachable!("the grid's capacities and payloads are all admissible"),
             }] += 1;
         }
         assert!(

@@ -305,20 +305,6 @@ impl EvalCache {
         }
     }
 
-    /// Serves a point from the cache or evaluates and stores it, one
-    /// point at a time. The engine goes through `get`/`insert` and the
-    /// batched kernel instead; this scalar route is what `repro
-    /// roofline` times as its `engine_serial_cold` measured mode.
-    pub fn get_or_evaluate(&self, query: &DesignQuery) -> CachedEval {
-        let key = CacheKey::quantize(query);
-        if let Some(cached) = self.get(&key) {
-            return cached;
-        }
-        let fresh = drone_dse::eval::evaluate(query);
-        self.insert(key, fresh);
-        fresh
-    }
-
     /// Lifetime hit count.
     pub fn hit_count(&self) -> u64 {
         self.hits.get()
@@ -359,6 +345,17 @@ mod tests {
         DesignQuery::new(450.0, CellCount::S3, capacity)
     }
 
+    /// The engine's lookup-then-insert for one point: served from the
+    /// cache, or evaluated and stored.
+    fn get_or_insert(cache: &EvalCache, query: &DesignQuery) -> CachedEval {
+        let key = CacheKey::quantize(query);
+        cache.get(&key).unwrap_or_else(|| {
+            let fresh = drone_dse::eval::evaluate(query);
+            cache.insert(key, fresh);
+            fresh
+        })
+    }
+
     #[test]
     fn shard_of_partitions_deterministically() {
         let points: Vec<DesignQuery> = (0..200).map(|i| q(1000.0 + 25.0 * i as f64)).collect();
@@ -380,8 +377,8 @@ mod tests {
     #[test]
     fn second_lookup_is_a_hit_with_identical_value() {
         let cache = EvalCache::with_defaults();
-        let first = cache.get_or_evaluate(&q(3000.0));
-        let second = cache.get_or_evaluate(&q(3000.0));
+        let first = get_or_insert(&cache, &q(3000.0));
+        let second = get_or_insert(&cache, &q(3000.0));
         assert_eq!(first, second);
         assert_eq!(cache.hit_count(), 1);
         assert_eq!(cache.miss_count(), 1);
@@ -401,8 +398,8 @@ mod tests {
     fn infeasible_results_are_cached_too() {
         let cache = EvalCache::with_defaults();
         let bad = DesignQuery::new(450.0, CellCount::S3, 150.0).with_payload(900.0);
-        assert!(cache.get_or_evaluate(&bad).is_err());
-        assert!(cache.get_or_evaluate(&bad).is_err());
+        assert!(get_or_insert(&cache, &bad).is_err());
+        assert!(get_or_insert(&cache, &bad).is_err());
         assert_eq!(cache.hit_count(), 1);
         assert_eq!(cache.miss_count(), 1);
     }
@@ -427,13 +424,13 @@ mod tests {
     #[test]
     fn attach_telemetry_carries_counts_over() {
         let mut cache = EvalCache::with_defaults();
-        let _ = cache.get_or_evaluate(&q(3000.0));
-        let _ = cache.get_or_evaluate(&q(3000.0));
+        let _ = get_or_insert(&cache, &q(3000.0));
+        let _ = get_or_insert(&cache, &q(3000.0));
         let registry = Registry::with_wall_clock();
         cache.attach_telemetry(&registry);
         assert_eq!(registry.counter("explorer.cache.hits").get(), 1);
         assert_eq!(registry.counter("explorer.cache.misses").get(), 1);
-        let _ = cache.get_or_evaluate(&q(3000.0));
+        let _ = get_or_insert(&cache, &q(3000.0));
         assert_eq!(registry.counter("explorer.cache.hits").get(), 2);
     }
 

@@ -27,7 +27,7 @@ use crate::eval::kernel_stages;
 use crate::executor::{panic_message, ParallelExecutor, TaskPanic};
 use crate::pareto::ParetoFrontier;
 use crate::query::{Query, QueryAnswer};
-use drone_dse::eval::{evaluate, evaluate_many, DesignEval, DesignQuery, OBJECTIVE_SENSES};
+use drone_dse::eval::{evaluate_many, DesignEval, DesignQuery, OBJECTIVE_SENSES};
 use drone_math::stats::{argmax, argmin};
 use drone_math::{BuildFnv, Sense};
 use drone_telemetry::trace::Span;
@@ -538,11 +538,12 @@ fn best_of(query: &Query, feasible: &[DesignEval]) -> Option<DesignEval> {
 ///   far the point got;
 /// * a panicking [`EvalHook`] fails only its own point — healthy
 ///   block-mates still evaluate (and later enter the cache);
-/// * every evaluated point records its [`kernel_stages`] leaves, from
-///   the batched and the scalar route alike;
-/// * if a degenerate point would panic the kernel itself, the block
-///   degrades to per-point scalar evaluation so the panic stays in its
-///   own slot with its own message.
+/// * every evaluated point records its [`kernel_stages`] leaves.
+///
+/// The kernel itself is total (a degenerate point comes back as a
+/// typed `DesignError`), so it runs unguarded; a kernel bug that did
+/// panic is caught by the executor's per-block guard and fails only
+/// this block's query.
 fn evaluate_block(
     worker: usize,
     start: usize,
@@ -580,23 +581,8 @@ fn evaluate_block(
     }
 
     let live_queries: Vec<DesignQuery> = live.iter().map(|&k| block[k]).collect();
-    match catch_unwind(AssertUnwindSafe(|| evaluate_many(&live_queries))) {
-        Ok(results) => {
-            for (&k, result) in live.iter().zip(results) {
-                out[k] = Some(Ok(kernel_stages(spans[k].as_mut(), || result)));
-            }
-        }
-        Err(_) => {
-            for &k in &live {
-                let q = &block[k];
-                let span = spans[k].as_mut();
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| kernel_stages(span, || evaluate(q))));
-                out[k] = Some(outcome.map_err(|payload| TaskPanic {
-                    message: panic_message(payload.as_ref()),
-                }));
-            }
-        }
+    for (&k, result) in live.iter().zip(evaluate_many(&live_queries)) {
+        out[k] = Some(Ok(kernel_stages(spans[k].as_mut(), || result)));
     }
     out.into_iter()
         .map(|slot| slot.expect("every block slot resolved"))
@@ -608,6 +594,7 @@ mod tests {
     use super::*;
     use crate::query::{Constraints, GridRange, Objective, QueryRanges};
     use drone_components::battery::CellCount;
+    use drone_dse::eval::evaluate;
 
     fn small_ranges() -> QueryRanges {
         QueryRanges {
@@ -1017,33 +1004,33 @@ mod tests {
     }
 
     #[test]
-    fn a_kernel_panic_fails_only_its_point_and_traces_like_the_scalar_kernel() {
+    fn a_zero_capacity_point_is_a_cached_error_traced_alike_at_every_width() {
         use drone_telemetry::{derive_trace_id, Clock, TagValue, TraceBuilder};
-        // A zero capacity panics both kernels. On one thread every point
-        // shares one executor block, which falls back to scalar
-        // evaluation point by point; on four each point is its own
-        // block, so the healthy ones take the batched route.
+        // A zero capacity lies outside the design envelope, so the
+        // kernel answers it with a typed error like any infeasible
+        // point. On one thread every point shares one executor block;
+        // on four each point is its own block.
         let good = DesignQuery::new(450.0, CellCount::S3, 4000.0);
         let zero_capacity = DesignQuery::new(450.0, CellCount::S3, 0.0);
         let infeasible = DesignQuery::new(450.0, CellCount::S3, 150.0).with_payload(800.0);
         let points = [good, zero_capacity, infeasible, good.with_twr(2.5)];
+        assert_eq!(
+            evaluate(&zero_capacity),
+            Err(drone_dse::design::DesignError::InvalidCapacity(0.0))
+        );
         let mut json1 = None;
         for threads in [1, 4] {
             let explorer = Explorer::new(threads);
             let builder = TraceBuilder::new(derive_trace_id(7, 4), Clock::sim());
-            let caught = {
+            let results = {
                 let root = builder.root("serve.request");
                 explorer
                     .try_evaluate_points(&points, Some(&root))
-                    .unwrap_err()
+                    .expect("the kernel is total")
             };
-            assert!(
-                caught.message.contains("capacity must be positive"),
-                "{caught}"
-            );
             let trace = builder.finish();
             assert_eq!(trace.open_at_finish, 0);
-            assert_eq!(explorer.cache().len(), 3, "{threads} threads");
+            assert_eq!(explorer.cache().len(), 4, "{threads} threads");
             let children = |id: u64, name: &str| {
                 trace
                     .spans
@@ -1058,26 +1045,26 @@ mod tests {
                     .find(|s| s.name == "point" && s.order == i as u64)
                     .expect("every point traced");
                 assert_eq!(point.tags.get("cache"), Some(TagValue::Str("miss")));
-                // Every evaluated point has one `eval.size` leaf, tagged
-                // with its feasibility, and `eval.power` only when
-                // feasible; the panicking point's leaf and point span
-                // carry no verdict, and it is not cached.
+                // Every point has one `eval.size` leaf tagged with its
+                // feasibility, and `eval.power` only when feasible; its
+                // result, `Err` included, is returned and cached.
+                let expected = evaluate(q);
+                let feasible = Some(TagValue::Bool(expected.is_ok()));
                 let size = children(point.span_id, "eval.size");
-                let power = children(point.span_id, "eval.power");
                 assert_eq!(size.len(), 1, "point {i}");
-                let cached = explorer.cache().get(&CacheKey::quantize(q));
-                let (feasible, powered, expected) = match i {
-                    1 => (None, 0, None),
-                    _ => {
-                        let expected = evaluate(q);
-                        let ok = expected.is_ok();
-                        (Some(TagValue::Bool(ok)), usize::from(ok), Some(expected))
-                    }
-                };
                 assert_eq!(size[0].tags.get("feasible"), feasible, "point {i}");
                 assert_eq!(point.tags.get("feasible"), feasible, "point {i}");
-                assert_eq!(power.len(), powered, "point {i}");
-                assert_eq!(cached, expected, "point {i}");
+                assert_eq!(
+                    children(point.span_id, "eval.power").len(),
+                    usize::from(expected.is_ok()),
+                    "point {i}"
+                );
+                assert_eq!(results[i], expected, "point {i}");
+                assert_eq!(
+                    explorer.cache().get(&CacheKey::quantize(q)),
+                    Some(expected),
+                    "point {i}"
+                );
             }
             let json = trace.deterministic_json().render();
             assert_eq!(

@@ -14,7 +14,7 @@
 //!   [`drone_dse::eval::evaluate`] keyed by quantized design-point
 //!   coordinates, with hit/miss/eviction counters in `drone-telemetry`.
 //! * [`pareto`] — incremental [`ParetoFrontier`] maintenance (flight
-//!   time ↑, weight ↓, compute share ↓) and 2-D/3-D extraction.
+//!   time ↑, weight ↓, compute share ↓) and batch extraction.
 //! * [`query`] + [`engine`] — the query engine: [`Query`] requests
 //!   (ranges, constraints, objective) answered by [`Explorer::run`]
 //!   with adaptive grid refinement around the incumbent optimum and
@@ -58,7 +58,7 @@ pub use cache::{shard_of, CacheKey, CachedEval, EvalCache};
 pub use engine::{try_run_sharded, EvalHook, EvalResult, Explorer};
 pub use executor::{default_threads, set_default_threads, ParallelExecutor, TaskPanic};
 pub use optimize::{Lattice, LatticePoint, OptimizeAnswer, OptimizeRequest, Strategy};
-pub use pareto::{extract_frontier, extract_frontier_2d, ParetoFrontier};
+pub use pareto::{extract_frontier, ParetoFrontier};
 pub use query::{
     Constraints, GridRange, Objective, Query, QueryAnswer, QueryError, QueryLimits, QueryRanges,
     ShardSpec,

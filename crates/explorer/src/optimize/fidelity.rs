@@ -1,14 +1,14 @@
 //! Constraint pre-filtering and coarse-proxy ranking.
 //!
-//! The pre-filter rejects candidates *before any kernel call* using
-//! sound lower bounds: the kernel's own parameter envelope (a design
-//! outside it always returns `InvalidTwr`/`InvalidWheelbase`) and a
-//! take-off-weight
-//! lower bound — frame + compute + sensors + payload + battery is the
-//! sizing fixed point's starting weight, which motors, ESCs, props and
-//! wiring only ever add to. A candidate whose *floor* already breaks
-//! `max_weight_g` can never be feasible, so evaluating it would waste
-//! a kernel call on a foregone conclusion.
+//! The pre-filter rejects candidates *before any kernel call*, using
+//! the kernel's own design envelope
+//! ([`drone_dse::design::check_envelope`]: a design outside it always
+//! returns the same typed error) and a take-off-weight lower bound —
+//! frame + compute + sensors + payload + battery is the sizing fixed
+//! point's starting weight, which motors, ESCs, props and wiring only
+//! ever add to. A candidate whose *floor* already breaks `max_weight_g`
+//! can never be feasible, so evaluating it would waste a kernel call on
+//! a foregone conclusion.
 //!
 //! The ranking comparator orders halving-round candidates by their
 //! coarse proxy outcome: admitted proxies first (best objective
@@ -17,21 +17,16 @@
 //! deterministic at any thread count.
 
 use crate::query::{Constraints, Objective};
+use drone_dse::design::check_envelope;
 use drone_dse::eval::{DesignEval, DesignQuery};
 use drone_math::Sense;
 use std::cmp::Ordering;
 
-/// The kernel's modelled parameter envelope (`DesignSpec::size`
-/// rejects outside it). Pinned by a test against `evaluate` so the
-/// two can never drift apart silently.
-const TWR_RANGE: (f64, f64) = (1.05, 10.0);
-const WHEELBASE_RANGE: (f64, f64) = (30.0, 1500.0);
-
 /// Why the pre-filter rejected a candidate without evaluating it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefilterReject {
-    /// Outside the kernel's modelled parameter range: `evaluate`
-    /// would deterministically return a parameter error.
+    /// Outside the kernel's design envelope: `evaluate` would
+    /// deterministically return the envelope's parameter error.
     Parameter,
     /// The take-off-weight lower bound already exceeds the query's
     /// `max_weight_g`: no sizing outcome can be feasible.
@@ -42,28 +37,24 @@ pub enum PrefilterReject {
 /// it". Sound by construction: a rejected candidate can never produce
 /// a constraint-admissible [`DesignEval`].
 pub fn prefilter(query: &DesignQuery, constraints: &Constraints) -> Option<PrefilterReject> {
-    if !(TWR_RANGE.0..=TWR_RANGE.1).contains(&query.twr)
-        || !(WHEELBASE_RANGE.0..=WHEELBASE_RANGE.1).contains(&query.wheelbase_mm)
-    {
-        return Some(PrefilterReject::Parameter);
+    let envelope = check_envelope(query.twr, query.wheelbase_mm, query.capacity_mah, || {
+        (weight_floor(query), ())
+    });
+    match (envelope, constraints.max_weight_g) {
+        (Err(_), _) => Some(PrefilterReject::Parameter),
+        (Ok((floor, ())), Some(bound)) if floor > bound => Some(PrefilterReject::WeightBound),
+        _ => None,
     }
-    if let Some(bound) = constraints.max_weight_g {
-        if weight_floor(query) > bound {
-            return Some(PrefilterReject::WeightBound);
-        }
-    }
-    None
 }
 
 /// A lower bound on the sized take-off weight: every component of the
 /// fixed-point's starting weight (`fixed = basic + battery`), none of
-/// the weight the iteration adds. Uses the battery weight *fit*
-/// directly (not `Battery::new`, whose positivity asserts could panic
-/// on degenerate capacities the kernel itself guards).
+/// the weight the iteration adds. Meaningful for points inside the
+/// TWR, wheelbase and capacity checks of the design envelope, which
+/// [`prefilter`] applies first.
 pub fn weight_floor(query: &DesignQuery) -> f64 {
-    let battery = drone_components::paper::battery_weight_fit(query.cells)
-        .predict(query.capacity_mah)
-        .max(0.0);
+    let battery =
+        drone_components::paper::battery_weight_fit(query.cells).predict(query.capacity_mah);
     query.to_spec().basic_weight().0 + battery
 }
 
@@ -118,30 +109,30 @@ mod tests {
 
     #[test]
     fn parameter_prefilter_agrees_with_the_kernel_envelope() {
+        use drone_dse::design::DesignError;
         // Just inside: kernel evaluates (feasibly or not, but no
         // parameter error); just outside: prefilter fires and the
-        // kernel confirms with a typed parameter error.
+        // kernel confirms with a typed envelope error.
         let base = DesignQuery::new(450.0, CellCount::S3, 4000.0);
-        for (twr, wheelbase, rejected) in [
-            (1.05, 450.0, false),
-            (10.0, 450.0, false),
-            (1.04, 450.0, true),
-            (10.01, 450.0, true),
-            (2.0, 29.9, true),
-            (2.0, 1500.1, true),
+        for (q, rejected) in [
+            (base.with_twr(1.05), false),
+            (base.with_twr(10.0), false),
+            (base.with_twr(1.04), true),
+            (base.with_twr(10.01), true),
+            (DesignQuery::new(29.9, CellCount::S3, 4000.0), true),
+            (DesignQuery::new(1500.1, CellCount::S3, 4000.0), true),
+            (DesignQuery::new(450.0, CellCount::S3, 0.0), true),
+            (base.with_payload(-5000.0), true),
         ] {
-            let q = DesignQuery {
-                twr,
-                wheelbase_mm: wheelbase,
-                ..base
-            };
             let pre = prefilter(&q, &Constraints::default());
-            assert_eq!(pre.is_some(), rejected, "twr {twr} wheelbase {wheelbase}");
+            assert_eq!(pre.is_some(), rejected, "{q:?}");
             if rejected {
                 assert!(matches!(
                     evaluate(&q),
-                    Err(drone_dse::design::DesignError::InvalidTwr(_)
-                        | drone_dse::design::DesignError::InvalidWheelbase(_))
+                    Err(DesignError::InvalidTwr(_)
+                        | DesignError::InvalidWheelbase(_)
+                        | DesignError::InvalidCapacity(_)
+                        | DesignError::InvalidStartingWeight(_))
                 ));
             }
         }

@@ -201,12 +201,11 @@ pub struct Optimizer<'a> {
     explorer: &'a Explorer,
     req: &'a OptimizeRequest,
     lattice: Lattice,
-    /// Keys already handled this run (dispatched or pre-filtered).
-    /// This run's sets and maps hash with FNV, as the engine's and the
+    /// Outcome per key already handled this run (dispatched or
+    /// pre-filtered); `None` = pre-filtered, never evaluated. This
+    /// run's sets and maps hash with FNV, as the engine's and the
     /// cache's do: their keys are lattice points of a validated request,
     /// at most its budget of them, and none is ever iterated.
-    seen: HashSet<CacheKey, BuildFnv>,
-    /// Outcome per handled key; `None` = pre-filtered, never evaluated.
     outcomes: HashMap<CacheKey, Option<EvalResult>, BuildFnv>,
     feasible: Vec<(LatticePoint, DesignEval)>,
     frontier: ParetoFrontier,
@@ -226,7 +225,6 @@ impl<'a> Optimizer<'a> {
             explorer,
             req,
             lattice: Lattice::new(&req.ranges),
-            seen: HashSet::default(),
             outcomes: HashMap::default(),
             feasible: Vec::new(),
             frontier: ParetoFrontier::new(&OBJECTIVE_SENSES),
@@ -328,11 +326,10 @@ impl<'a> Optimizer<'a> {
         for point in points {
             let query = self.lattice.query(point);
             let key = CacheKey::quantize(&query);
-            if self.seen.contains(&key) || batch_keys.contains(&key) {
+            if self.outcomes.contains_key(&key) || batch_keys.contains(&key) {
                 continue;
             }
             if prefilter(&query, &self.req.constraints).is_some() {
-                self.seen.insert(key);
                 self.outcomes.insert(key, None);
                 self.prefiltered += 1;
                 self.infeasible += 1;
@@ -365,7 +362,6 @@ impl<'a> Optimizer<'a> {
         }
         let results = self.explorer.try_evaluate_points(&queries, span.as_ref())?;
         for ((point, _, key), result) in batch.into_iter().zip(results) {
-            self.seen.insert(key);
             self.outcomes.insert(key, Some(result));
             match result {
                 Ok(eval) if self.req.constraints.admits(&eval) => {

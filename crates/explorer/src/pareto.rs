@@ -5,7 +5,7 @@
 //! and keeps the mutually non-dominated set incrementally as results
 //! stream out of the executor. Dominance itself is
 //! [`drone_math::pareto::dominates`]; this module owns the bookkeeping
-//! and the 2-D/3-D extraction helpers.
+//! and the batch extraction helper.
 
 use drone_math::pareto::{dominates, Sense};
 
@@ -157,22 +157,6 @@ pub fn extract_frontier<P: AsRef<[f64]>>(points: &[P], senses: &[Sense]) -> Vec<
         .collect()
 }
 
-/// Extracts the 2-D frontier over the projection of `points` onto two
-/// objective axes. Note a 2-D frontier must be computed over the *full*
-/// point set: projection changes which points dominate, so it is not a
-/// subset of the 3-D frontier members in general.
-pub fn extract_frontier_2d<P: AsRef<[f64]>>(
-    points: &[P],
-    senses: &[Sense],
-    axes: (usize, usize),
-) -> Vec<usize> {
-    let projected: Vec<[f64; 2]> = points
-        .iter()
-        .map(|p| [p.as_ref()[axes.0], p.as_ref()[axes.1]])
-        .collect();
-    extract_frontier(&projected, &[senses[axes.0], senses[axes.1]])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,15 +230,6 @@ mod tests {
         }
         let extracted = extract_frontier(&pts, &SENSES);
         assert_eq!(f.ids(), extracted);
-    }
-
-    #[test]
-    fn two_d_projection_recomputes_dominance() {
-        // On (flight, weight) alone, point 1 dominates point 0; in 3-D
-        // point 0 survives thanks to its compute share.
-        let pts: Vec<[f64; 3]> = vec![[10.0, 1000.0, 0.01], [11.0, 900.0, 0.50]];
-        assert_eq!(extract_frontier(&pts, &SENSES), vec![0, 1]);
-        assert_eq!(extract_frontier_2d(&pts, &SENSES, (0, 1)), vec![1]);
     }
 
     /// The frontier as it was kept before the flat layout: one

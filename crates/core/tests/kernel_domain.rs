@@ -5,6 +5,12 @@
 //! panic), agree bit for bit, and the batched kernel's `BatchProfile`
 //! must tally exactly the classes `evaluate` returns point by point.
 //!
+//! Over feasible points inside the envelope, relations that Eq. 1–7
+//! imply must hold: compute shares are fractions, maneuvering draws at
+//! least hover power, more payload never lightens the drone or
+//! lengthens its flight, more compute power never lengthens it, and at a
+//! fixed take-off weight more compute power never lowers its share.
+//!
 //! Cases are seeded and deterministic; CI reruns this file with
 //! `PROPTEST_CASES=4096`.
 
@@ -206,4 +212,132 @@ fn a_negative_compute_power_can_leave_no_hover_power() {
         "{scalar:?}"
     );
     assert_eq!(evaluate_many(&[q])[0], scalar);
+}
+
+/// A point inside the design envelope with compute power ≥ 0, over
+/// ranges the wire accepts; a little over a third of them size and fly.
+fn enveloped() -> impl Strategy<Value = DesignQuery> {
+    (
+        30.0..1500.0,
+        cells(),
+        50.0..30000.0,
+        0.0..400.0,
+        1.05..10.0,
+        -200.0..5000.0,
+    )
+        .prop_map(
+            |(wheelbase_mm, cells, capacity_mah, compute_power_w, twr, payload_g)| DesignQuery {
+                wheelbase_mm,
+                cells,
+                capacity_mah,
+                compute_power_w,
+                twr,
+                payload_g,
+            },
+        )
+}
+
+/// A positive increment: tiny, moderate or large.
+fn increment() -> impl Strategy<Value = f64> {
+    prop_oneof![1e-9..1e-3, 1e-3..1.0, 1.0..1000.0]
+}
+
+/// The evaluations of `q` and `more` when both are feasible.
+fn feasible_pair(q: &DesignQuery, more: &DesignQuery) -> Option<(DesignEval, DesignEval)> {
+    Some((evaluate(q).ok()?, evaluate(more).ok()?))
+}
+
+// Metamorphic properties of Eq. 1–7 over feasible points.
+proptest! {
+    #[test]
+    fn compute_shares_are_fractions_and_maneuvering_draws_at_least_hover_power(q in enveloped()) {
+        let e = evaluate(&q);
+        prop_assume!(e.is_ok());
+        let e = e.unwrap();
+        // Eq. 6: compute / (propulsion + compute + sensors), each ≥ 0.
+        prop_assert!((0.0..=1.0).contains(&e.compute_share_hover), "{:?}", e);
+        prop_assert!((0.0..=1.0).contains(&e.compute_share_maneuver), "{:?}", e);
+        // Eq. 3: maneuvering draws a larger fraction of the max current.
+        prop_assert!(e.maneuver_power_w >= e.hover_power_w, "{:?}", e);
+    }
+
+    #[test]
+    fn more_payload_never_lightens_the_drone_or_lengthens_its_flight(
+        q in enveloped(),
+        extra in increment(),
+    ) {
+        let pair = feasible_pair(&q, &q.with_payload(q.payload_g + extra));
+        prop_assume!(pair.is_some());
+        let (base, heavier) = pair.unwrap();
+        prop_assert!(
+            heavier.weight_g >= base.weight_g,
+            "+{} g: {:?} -> {:?}", extra, base, heavier
+        );
+        prop_assert!(
+            heavier.flight_time_min <= base.flight_time_min,
+            "+{} g: {:?} -> {:?}", extra, base, heavier
+        );
+    }
+
+    #[test]
+    fn more_compute_power_never_lengthens_flight(q in enveloped(), extra in increment()) {
+        let more = q.with_compute_power(q.compute_power_w + extra);
+        let pair = feasible_pair(&q, &more);
+        prop_assume!(pair.is_some());
+        let (base, hungrier) = pair.unwrap();
+        prop_assert!(
+            hungrier.flight_time_min <= base.flight_time_min,
+            "+{} W: {:?} -> {:?}", extra, base, hungrier
+        );
+    }
+
+    /// More compute power also weighs more (4 g/W, Eq. 1), and the
+    /// propulsion power that weight costs can outgrow the watts added
+    /// (`a_heavy_computer_can_lower_its_own_compute_share`). Moving
+    /// 4 g/W out of the payload keeps the take-off weight, and with it
+    /// every other term of Eq. 6's denominator, fixed.
+    #[test]
+    fn at_a_fixed_weight_more_compute_power_never_lowers_its_share(
+        q in enveloped(),
+        extra in 0.01f64..100.0,
+    ) {
+        let more = q
+            .with_compute_power(q.compute_power_w + extra)
+            .with_payload(q.payload_g - 4.0 * extra);
+        let pair = feasible_pair(&q, &more);
+        prop_assume!(pair.is_some());
+        let (base, hungrier) = pair.unwrap();
+        prop_assert!(
+            hungrier.compute_share_hover >= base.compute_share_hover,
+            "+{} W: {:?} -> {:?}", extra, base, hungrier
+        );
+        prop_assert!(
+            hungrier.compute_share_maneuver >= base.compute_share_maneuver,
+            "+{} W: {:?} -> {:?}", extra, base, hungrier
+        );
+    }
+}
+
+#[test]
+fn a_heavy_computer_can_lower_its_own_compute_share() {
+    // A 92 mm, 2S, 302 mAh drone whose 12 W computer draws nearly half
+    // its hover power. Eq. 6 gives the share as P / (P + Q), with Q the
+    // propulsion and sensor power, so it falls when Q grows by a larger
+    // factor than P. Each extra watt adds 4 g of board (Eq. 1), which
+    // the motors must lift (Eq. 2–3), and here that costs more than the
+    // watt itself: "more compute power never lowers the hover compute
+    // share" is not a property of the model.
+    let q = DesignQuery {
+        wheelbase_mm: 92.24285814059985,
+        cells: CellCount::S2,
+        capacity_mah: 302.1936914403662,
+        compute_power_w: 12.098542962905416,
+        twr: 3.240046146342464,
+        payload_g: -147.04072823304438,
+    };
+    let base = evaluate(&q).expect("feasible");
+    let hungrier = evaluate(&q.with_compute_power(q.compute_power_w + 0.5)).expect("feasible");
+    assert!(base.compute_share_hover > 0.45, "{base:?}");
+    assert!(hungrier.compute_share_hover < base.compute_share_hover);
+    assert!(hungrier.weight_g > base.weight_g);
 }

@@ -15,6 +15,15 @@
 //! only on a tag match. A cold insert on a full shard is one probe, one
 //! in-place overwrite and one index update, with no allocation.
 //!
+//! The engine touches the cache in grouped passes, one per call for its
+//! lookups and one for its inserts. Each point's key is hashed once, and
+//! its distinct keys are grouped by lock shard, so a pass takes each
+//! lock once and moves each counter once. Inserts keep input order
+//! within each shard, the only order a shard's contents depend on, so
+//! the cache ends exactly as point-by-point inserts in input order would
+//! leave it. The per-point [`EvalCache::get`] and [`EvalCache::insert`]
+//! run the same shard code.
+//!
 //! Keys quantize each coordinate to a model-insignificant granule
 //! (0.1 mm wheelbase, 1 mAh, 0.01 W, 0.001 TWR, 0.1 g payload): two
 //! points closer than a granule size to each other evaluate identically
@@ -67,8 +76,7 @@ impl CacheKey {
     /// Word-wise FNV-1a over the lattice coordinates: a
     /// process-independent hash, so shard placement (and therefore
     /// eviction behaviour) is reproducible run to run — `std`'s
-    /// SipHash seeds are not. One xor+multiply per coordinate keeps
-    /// the cold path's two hashings (lookup + insert) off the profile.
+    /// SipHash seeds are not. One xor+multiply per coordinate.
     fn fnv(&self) -> u64 {
         let mut h = fnv1a_fold(FNV_OFFSET, self.wheelbase_dmm as u64);
         h = fnv1a_fold(h, self.cells as u64);
@@ -76,6 +84,11 @@ impl CacheKey {
         h = fnv1a_fold(h, self.compute_cw as u64);
         h = fnv1a_fold(h, self.twr_milli as u64);
         fnv1a_fold(h, self.payload_dg as u64)
+    }
+
+    /// The key's engine shard out of `count` (see [`shard_of`]).
+    pub(crate) fn shard(&self, count: u32) -> u32 {
+        (self.fnv() % u64::from(count.max(1))) as u32
     }
 }
 
@@ -86,16 +99,17 @@ impl CacheKey {
 /// and because it hashes the *quantized* coordinates, every point an
 /// engine evaluates also lands in that engine's own cache partition.
 pub fn shard_of(query: &DesignQuery, count: u32) -> u32 {
-    (CacheKey::quantize(query).fnv() % u64::from(count.max(1))) as u32
+    CacheKey::quantize(query).shard(count)
 }
 
 /// One lock shard: a FIFO ring of entries plus an open-addressed index
 /// over it.
 ///
 /// `entries` holds the shard's entries in insertion order until it is
-/// full; from then on slot `head` is the oldest entry, and the next
-/// insert overwrites it in place and advances `head`. Nothing is
-/// allocated after the shard first fills.
+/// full, and `tags` each slot's index tag beside it; from then on slot
+/// `head` is the oldest entry, and the next insert overwrites it in
+/// place and advances `head`. Nothing is allocated after the shard
+/// first fills.
 ///
 /// `index` is a linear-probing table of `(tag, slot + 1)` pairs, 0 in
 /// the second field marking an empty bucket, with at least twice as
@@ -110,6 +124,9 @@ pub fn shard_of(query: &DesignQuery, count: u32) -> u32 {
 /// (Knuth's Algorithm R), so no tombstones build up.
 struct Shard {
     entries: Vec<(CacheKey, CachedEval)>,
+    /// Each slot's index tag, so an eviction finds the victim's bucket
+    /// without rehashing its key.
+    tags: Vec<u32>,
     /// The next victim once `entries` is full.
     head: usize,
     index: Vec<(u32, u32)>,
@@ -129,6 +146,7 @@ impl Shard {
         );
         Shard {
             entries: Vec::new(),
+            tags: Vec::new(),
             head: 0,
             // Zeroed, so the pages fault in only as buckets are used.
             index: vec![(0, 0); (2 * capacity).next_power_of_two()],
@@ -160,15 +178,14 @@ impl Shard {
         }
     }
 
-    fn get(&self, key: &CacheKey, hash: u64) -> Option<CachedEval> {
-        let bucket = self.probe(key, tag_of(hash)).ok()?;
+    fn get(&self, key: &CacheKey, tag: u32) -> Option<CachedEval> {
+        let bucket = self.probe(key, tag).ok()?;
         Some(self.entries[self.index[bucket].1 as usize - 1].1)
     }
 
     /// Stores `value`; returns whether the oldest entry was evicted for
     /// it. A resident key is refreshed in place, keeping its FIFO age.
-    fn insert(&mut self, key: CacheKey, hash: u64, value: CachedEval) -> bool {
-        let tag = tag_of(hash);
+    fn insert(&mut self, key: CacheKey, tag: u32, value: CachedEval) -> bool {
         let mut bucket = match self.probe(&key, tag) {
             Ok(found) => {
                 let slot = self.index[found].1 as usize - 1;
@@ -180,16 +197,22 @@ impl Shard {
         let evicted = self.entries.len() == self.capacity;
         let slot = if evicted {
             let victim = self.head;
-            self.head = (victim + 1) % self.capacity;
+            self.head = if victim + 1 == self.capacity {
+                0
+            } else {
+                victim + 1
+            };
             self.unlink(victim);
             // The shift may have moved the cluster this key probes.
             bucket = self
                 .probe(&key, tag)
                 .expect_err("a key missing before the eviction stays missing");
             self.entries[victim] = (key, value);
+            self.tags[victim] = tag;
             victim
         } else {
             self.entries.push((key, value));
+            self.tags.push(tag);
             self.entries.len() - 1
         };
         self.index[bucket] = (tag, slot as u32 + 1);
@@ -202,7 +225,7 @@ impl Shard {
     fn unlink(&mut self, slot: usize) {
         let mask = self.mask();
         let target = slot as u32 + 1;
-        let mut hole = self.home(tag_of(self.entries[slot].0.fnv()));
+        let mut hole = self.home(self.tags[slot]);
         while self.index[hole].1 != target {
             hole = (hole + 1) & mask;
         }
@@ -222,6 +245,41 @@ impl Shard {
             }
         }
         self.index[hole] = (0, 0);
+    }
+}
+
+/// One call's keys, prepared for [`EvalCache`]'s grouped passes: each
+/// key is hashed once, the first input carrying each key is found
+/// through a per-call open-addressed table of input indices, and the
+/// distinct keys are grouped by lock shard, in input order within each
+/// shard.
+pub(crate) struct KeyBatch<'a> {
+    keys: &'a [CacheKey],
+    /// Each key's index tag.
+    tags: Vec<u32>,
+    /// For each input, the first input with the same key.
+    first: Vec<u32>,
+    /// First occurrences by lock shard: shard `s` owns
+    /// `grouped[ends[s - 1]..ends[s]]` (from 0 for shard 0).
+    grouped: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl KeyBatch<'_> {
+    /// The first input whose key equals input `i`'s (`i` itself when
+    /// no earlier input has it).
+    pub(crate) fn first(&self, i: usize) -> usize {
+        self.first[i] as usize
+    }
+
+    /// Shard `s`'s group, for `s` in order.
+    fn groups(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        let mut start = 0;
+        self.ends.iter().enumerate().map(move |(s, &end)| {
+            let group = &self.grouped[start..end as usize];
+            start = end as usize;
+            (s, group)
+        })
     }
 }
 
@@ -272,16 +330,18 @@ impl EvalCache {
         }
     }
 
-    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
-        self.shards[(hash % self.shards.len() as u64) as usize]
-            .lock()
-            .expect("cache shard lock")
+    fn shard_index(&self, hash: u64) -> usize {
+        (hash % self.shards.len() as u64) as usize
+    }
+
+    fn lock(&self, shard: usize) -> MutexGuard<'_, Shard> {
+        self.shards[shard].lock().expect("cache shard lock")
     }
 
     /// Looks a key up, counting a hit or a miss.
     pub fn get(&self, key: &CacheKey) -> Option<CachedEval> {
         let hash = key.fnv();
-        let found = self.shard(hash).get(key, hash);
+        let found = self.lock(self.shard_index(hash)).get(key, tag_of(hash));
         match found {
             Some(_) => self.hits.inc(),
             None => self.misses.inc(),
@@ -289,20 +349,139 @@ impl EvalCache {
         found
     }
 
-    /// Counts a lookup served by coalescing with an identical in-flight
-    /// evaluation (a duplicate key inside one parallel round).
-    pub fn note_coalesced_hit(&self) {
-        self.hits.inc();
-    }
-
     /// Stores an evaluation, evicting the shard's oldest entry when the
     /// shard is full. Re-inserting an existing key refreshes the value
     /// without growing the shard or changing its eviction order.
     pub fn insert(&self, key: CacheKey, value: CachedEval) {
         let hash = key.fnv();
-        if self.shard(hash).insert(key, hash, value) {
+        if self
+            .lock(self.shard_index(hash))
+            .insert(key, tag_of(hash), value)
+        {
             self.evictions.inc();
         }
+    }
+
+    /// Hashes `keys` once each, finds each key's first occurrence and
+    /// groups the distinct keys by this cache's lock shards.
+    ///
+    /// # Panics
+    ///
+    /// If `keys` holds 2³² − 1 or more keys.
+    pub(crate) fn key_batch<'a>(&self, keys: &'a [CacheKey]) -> KeyBatch<'a> {
+        const EMPTY: u32 = u32::MAX;
+        assert!(keys.len() < EMPTY as usize, "key batch too large");
+        let mut tags = Vec::with_capacity(keys.len());
+        let mut first = Vec::with_capacity(keys.len());
+        // Each distinct key's input index and lock shard.
+        let mut distinct: Vec<(u32, u32)> = Vec::with_capacity(keys.len());
+        let mask = (2 * keys.len()).next_power_of_two() - 1;
+        let mut table = vec![EMPTY; mask + 1];
+        for (i, key) in keys.iter().enumerate() {
+            let hash = key.fnv();
+            let tag = tag_of(hash);
+            tags.push(tag);
+            let mut bucket = tag as usize & mask;
+            let found = loop {
+                match table[bucket] {
+                    EMPTY => {
+                        table[bucket] = i as u32;
+                        distinct.push((i as u32, self.shard_index(hash) as u32));
+                        break i as u32;
+                    }
+                    j if tags[j as usize] == tag && keys[j as usize] == *key => break j,
+                    _ => bucket = (bucket + 1) & mask,
+                }
+            };
+            first.push(found);
+        }
+        // A counting sort by shard, stable in input order: `ends` holds
+        // each shard's size, then its start, then (after placing) its end.
+        let mut ends = vec![0u32; self.shards.len()];
+        for &(_, shard) in &distinct {
+            ends[shard as usize] += 1;
+        }
+        let mut start = 0;
+        for end in &mut ends {
+            let size = *end;
+            *end = start;
+            start += size;
+        }
+        let mut grouped = vec![0u32; distinct.len()];
+        for &(i, shard) in &distinct {
+            let at = &mut ends[shard as usize];
+            grouped[*at as usize] = i;
+            *at += 1;
+        }
+        KeyBatch {
+            keys,
+            tags,
+            first,
+            grouped,
+            ends,
+        }
+    }
+
+    /// Looks up every distinct key of `batch`, taking each lock shard
+    /// once, and writes each hit to `found` at its first occurrence's
+    /// index. Afterwards `batch` groups only the keys that missed, which
+    /// is what [`EvalCache::insert_batch`] then stores. Returns the miss
+    /// count.
+    ///
+    /// The counters move once per call: each distinct key that missed
+    /// is a miss, and every other input is a hit, a duplicate of a
+    /// missed key included, since it is served by coalescing with its
+    /// first occurrence's evaluation.
+    pub(crate) fn lookup(&self, batch: &mut KeyBatch, found: &mut [Option<CachedEval>]) -> usize {
+        let KeyBatch {
+            keys,
+            tags,
+            grouped,
+            ends,
+            ..
+        } = batch;
+        let (mut start, mut missed) = (0, 0);
+        for (s, end) in ends.iter_mut().enumerate() {
+            let group = start..*end as usize;
+            start = *end as usize;
+            if !group.is_empty() {
+                let shard = self.lock(s);
+                for g in group {
+                    let i = grouped[g] as usize;
+                    match shard.get(&keys[i], tags[i]) {
+                        Some(value) => found[i] = Some(value),
+                        None => {
+                            grouped[missed] = i as u32;
+                            missed += 1;
+                        }
+                    }
+                }
+            }
+            *end = missed as u32;
+        }
+        grouped.truncate(missed);
+        self.hits.add((keys.len() - missed) as u64);
+        self.misses.add(missed as u64);
+        missed
+    }
+
+    /// Stores `values[i]` for each first occurrence `i` that `batch`
+    /// groups and that has a value, taking each lock shard once and
+    /// inserting in input order within it, so each shard's contents and
+    /// FIFO order are what a point-by-point [`EvalCache::insert`] in
+    /// input order would leave. Evictions are counted once per call.
+    pub(crate) fn insert_batch(&self, batch: &KeyBatch, values: &[Option<CachedEval>]) {
+        let mut evicted = 0;
+        for (s, group) in batch.groups().filter(|(_, group)| !group.is_empty()) {
+            let mut shard = self.lock(s);
+            for &i in group {
+                let i = i as usize;
+                if let Some(value) = values[i] {
+                    evicted += u64::from(shard.insert(batch.keys[i], batch.tags[i], value));
+                }
+            }
+        }
+        self.evictions.add(evicted);
     }
 
     /// Lifetime hit count.
@@ -493,6 +672,22 @@ mod tests {
         }
     }
 
+    /// A small key pool, so keys recur: re-inserts, hits and evictions
+    /// of keys that come back.
+    fn key_pool() -> Vec<CacheKey> {
+        (0..24)
+            .map(|i| CacheKey::quantize(&q(1000.0 + 25.0 * i as f64)))
+            .collect()
+    }
+
+    /// Four distinct values, one of them infeasible.
+    fn value_pool() -> Vec<CachedEval> {
+        [3000.0, 5000.0, 150.0, 8000.0]
+            .iter()
+            .map(|&c| drone_dse::eval::evaluate(&q(c).with_payload(c / 10.0)))
+            .collect()
+    }
+
     proptest! {
         #[test]
         fn shards_evict_and_refresh_like_the_fifo_model(
@@ -500,15 +695,8 @@ mod tests {
             capacity in 1usize..9,
             ops in prop::collection::vec((0u8..3, 0usize..24, 0usize..4), 0..160),
         ) {
-            // A small key pool, so keys recur: re-inserts, hits and
-            // evictions of keys that come back.
-            let keys: Vec<CacheKey> = (0..24)
-                .map(|i| CacheKey::quantize(&q(1000.0 + 25.0 * i as f64)))
-                .collect();
-            let values: Vec<CachedEval> = [3000.0, 5000.0, 150.0, 8000.0]
-                .iter()
-                .map(|&c| drone_dse::eval::evaluate(&q(c).with_payload(c / 10.0)))
-                .collect();
+            let keys = key_pool();
+            let values = value_pool();
             let cache = EvalCache::new(shards, capacity);
             let mut model = ModelCache::new(shards, capacity);
             let mut last = keys[0];
@@ -535,6 +723,80 @@ mod tests {
             prop_assert_eq!(cache.miss_count(), model.misses);
             prop_assert_eq!(cache.eviction_count(), model.evictions);
         }
+
+        /// The grouped passes against the model applied point by point
+        /// in input order, the way the engine once drove the cache: a
+        /// lookup per point, where a repeat of a missed key coalesces
+        /// (a hit), then an insert per fresh result. A lookup batch
+        /// evaluates each miss to `values[v]` or, for `v == 4`, panics
+        /// (nothing is stored); an insert-only batch re-inserts keys
+        /// that may be resident.
+        #[test]
+        fn grouped_passes_match_the_fifo_model_point_by_point(
+            shards in 1usize..5,
+            capacity in 1usize..9,
+            batches in prop::collection::vec(
+                (any::<bool>(), prop::collection::vec((0usize..24, 0usize..5), 0..24)),
+                0..12,
+            ),
+        ) {
+            let pool = key_pool();
+            let values = value_pool();
+            let cache = EvalCache::new(shards, capacity);
+            let mut model = ModelCache::new(shards, capacity);
+            for (step, (looks_up, points)) in batches.iter().enumerate() {
+                let keys: Vec<CacheKey> = points.iter().map(|&(k, _)| pool[k]).collect();
+                let value = |i: usize| values.get(points[i].1).copied();
+                let mut batch = cache.key_batch(&keys);
+                for (i, key) in keys.iter().enumerate() {
+                    let first = keys.iter().position(|k| k == key);
+                    prop_assert_eq!(Some(batch.first(i)), first, "step {}", step);
+                }
+                // Each input's stored value, by first occurrence.
+                let mut stored: Vec<Option<CachedEval>> = vec![None; keys.len()];
+                if *looks_up {
+                    cache.lookup(&mut batch, &mut stored);
+                    let mut pending: Vec<usize> = Vec::new();
+                    for (i, key) in keys.iter().enumerate() {
+                        if pending.iter().any(|&p| keys[p] == *key) {
+                            model.hits += 1;
+                        } else if batch.first(i) == i {
+                            let found = model.get(key);
+                            prop_assert_eq!(stored[i], found, "step {} input {}", step, i);
+                            if found.is_none() {
+                                pending.push(i);
+                                stored[i] = value(i);
+                            }
+                        } else {
+                            prop_assert!(model.get(key).is_some(), "step {}", step);
+                        }
+                    }
+                    cache.insert_batch(&batch, &stored);
+                    for &i in &pending {
+                        if let Some(fresh) = stored[i] {
+                            model.insert(keys[i], fresh);
+                        }
+                    }
+                } else {
+                    for (i, slot) in stored.iter_mut().enumerate() {
+                        *slot = value(i);
+                    }
+                    cache.insert_batch(&batch, &stored);
+                    for (i, key) in keys.iter().enumerate() {
+                        if let (true, Some(fresh)) = (batch.first(i) == i, stored[i]) {
+                            model.insert(*key, fresh);
+                        }
+                    }
+                }
+                prop_assert_eq!(cache.len(), model.len(), "step {}", step);
+                prop_assert_eq!(cache.hit_count(), model.hits, "step {}", step);
+                prop_assert_eq!(cache.miss_count(), model.misses, "step {}", step);
+                prop_assert_eq!(cache.eviction_count(), model.evictions, "step {}", step);
+            }
+            for key in &pool {
+                prop_assert_eq!(cache.get(key), model.get(key));
+            }
+        }
     }
 
     #[test]
@@ -543,14 +805,15 @@ mod tests {
         // bucket, so a full shard's cluster runs over the table's end.
         let mut shard = Shard::new(4);
         let last = shard.mask();
+        let tag = |key: &CacheKey| tag_of(key.fnv());
         let keys: Vec<CacheKey> = (0..)
             .map(|i| CacheKey::quantize(&q(1000.0 + i as f64)))
-            .filter(|k| shard.home(tag_of(k.fnv())) == last)
+            .filter(|k| shard.home(tag(k)) == last)
             .take(5)
             .collect();
         let value = drone_dse::eval::evaluate(&q(3000.0));
         for key in &keys[..4] {
-            assert!(!shard.insert(*key, key.fnv(), value));
+            assert!(!shard.insert(*key, tag(key), value));
         }
         let occupied = |shard: &Shard| -> Vec<(usize, u32)> {
             (0..=last)
@@ -561,11 +824,11 @@ mod tests {
         assert_eq!(occupied(&shard), vec![(0, 1), (1, 2), (2, 3), (last, 0)]);
         // The fifth key evicts the oldest, in the last bucket; the three
         // after it shift back one bucket each, the first across the end.
-        assert!(shard.insert(keys[4], keys[4].fnv(), value));
+        assert!(shard.insert(keys[4], tag(&keys[4]), value));
         assert_eq!(occupied(&shard), vec![(0, 2), (1, 3), (2, 0), (last, 1)]);
-        assert_eq!(shard.get(&keys[0], keys[0].fnv()), None);
+        assert_eq!(shard.get(&keys[0], tag(&keys[0])), None);
         for key in &keys[1..] {
-            assert_eq!(shard.get(key, key.fnv()), Some(value));
+            assert_eq!(shard.get(key, tag(key)), Some(value));
         }
     }
 }

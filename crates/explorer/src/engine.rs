@@ -6,11 +6,17 @@
 //! cell either side, resampled) and fans out again. Every round
 //! deduplicates its points against the cache *and* within itself before
 //! dispatch, so the hit/miss counters — and therefore the exported
-//! artifacts — are identical at any thread count: cache state only ever
-//! changes between rounds, on the coordinating thread, in point order.
+//! artifacts — are identical at any thread count. Cache state changes
+//! only on the calling thread, before and after the fan-out: each call
+//! quantizes and hashes each point once, finds repeated keys without a
+//! map, looks its distinct keys up in one pass per lock shard and
+//! inserts its fresh results in another, in input order within each
+//! shard. That order leaves every shard, and so every counter and
+//! eviction, as point-by-point inserts in input order would.
 //!
 //! [`try_run_sharded`] runs the same round loop over N engines, each
-//! evaluating its [`shard_of`] partition of every round's points.
+//! evaluating its [`shard_of`](crate::shard_of) partition of every
+//! round's points.
 //!
 //! Each operation has one fallible entry point that takes the caller's
 //! span (`parent: Option<&Span>`, `None` when untraced) —
@@ -22,7 +28,7 @@
 //! `crate::eval`), around the `drone-dse` calls, which trace nothing
 //! themselves.
 
-use crate::cache::{shard_of, CacheKey, EvalCache};
+use crate::cache::{CacheKey, EvalCache};
 use crate::eval::kernel_stages;
 use crate::executor::{panic_message, ParallelExecutor, TaskPanic};
 use crate::pareto::ParetoFrontier;
@@ -32,7 +38,7 @@ use drone_math::stats::{argmax, argmin};
 use drone_math::{BuildFnv, Sense};
 use drone_telemetry::trace::Span;
 use drone_telemetry::{Clock, Registry, SharedHistogram};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Cached evaluation outcome (shared with [`EvalCache`]).
@@ -118,9 +124,9 @@ impl Explorer {
     /// in input order.
     ///
     /// Duplicate keys within the batch coalesce onto one evaluation
-    /// (counted as hits); fresh results enter the cache in input order
-    /// on the calling thread, keeping counters and eviction order
-    /// independent of the thread count.
+    /// (counted as hits); fresh results enter the cache on the calling
+    /// thread, in input order within each lock shard, keeping counters
+    /// and eviction order independent of the thread count.
     ///
     /// # Panics
     ///
@@ -138,8 +144,9 @@ impl Explorer {
     /// the executor and surfaces as one `Err(TaskPanic)` for the whole
     /// batch — deterministically the first panic by input index.
     /// Panicked points never enter the cache; every successfully
-    /// evaluated point in the same fan-out still does, in input order,
-    /// so cache counters stay thread-count independent.
+    /// evaluated point in the same fan-out still does, in input order
+    /// within its lock shard, so cache counters stay thread-count
+    /// independent.
     ///
     /// With `parent`, the call traces under it. A
     /// [detailed](Span::detailed) trace gets one `point` child per
@@ -161,55 +168,55 @@ impl Explorer {
         points: &[DesignQuery],
         parent: Option<&Span>,
     ) -> Result<Vec<EvalResult>, TaskPanic> {
-        self.evaluate_points_indexed(points, parent)
+        let keys: Vec<CacheKey> = points.iter().map(CacheKey::quantize).collect();
+        self.evaluate_keyed(points, &keys, parent)
             .map_err(|(_, caught)| caught)
     }
 
-    /// [`Explorer::try_evaluate_points`], reporting a panic
-    /// with the input index of the point that raised it.
-    fn evaluate_points_indexed(
+    /// [`Explorer::try_evaluate_points`] over points already quantized
+    /// to `keys`, reporting a panic with the input index of the point
+    /// that raised it.
+    fn evaluate_keyed(
         &self,
         points: &[DesignQuery],
+        keys: &[CacheKey],
         parent: Option<&Span>,
     ) -> Result<Vec<EvalResult>, (usize, TaskPanic)> {
-        let keys: Vec<CacheKey> = points.iter().map(CacheKey::quantize).collect();
+        let mut batch = self.cache.key_batch(keys);
         let mut resolved: Vec<Option<EvalResult>> = vec![None; points.len()];
-        // Unique uncached keys → the index of their first occurrence.
-        // FNV-hashed: every cold point probes this map twice (dedup +
-        // duplicate resolution) on top of the cache's own lookups. Sized
-        // for an all-cold call, so it never rehashes while it fills.
-        let mut pending: HashMap<CacheKey, usize, BuildFnv> =
-            HashMap::with_capacity_and_hasher(points.len(), BuildFnv::default());
-        let mut work: Vec<usize> = Vec::with_capacity(points.len());
         // A detailed trace gets per-point spans; an aggregate one gets
         // the `eval.lookup`/`eval.fanout` stage spans.
         let per_point = parent.filter(|p| p.detailed());
         let aggregate = parent.filter(|p| !p.detailed());
         let mut lookup = aggregate.map(|p| p.child("eval.lookup", 0));
+        let misses = self.cache.lookup(&mut batch, &mut resolved);
+        // Before the fan-out only hits are resolved, so a duplicate
+        // whose first occurrence is unresolved coalesces onto a miss.
+        let mut work: Vec<usize> = Vec::with_capacity(misses);
         let (mut hits, mut coalesced) = (0usize, 0usize);
-        for (i, key) in keys.iter().enumerate() {
-            if pending.contains_key(key) {
-                self.cache.note_coalesced_hit();
-                coalesced += 1;
-                if let Some(p) = per_point {
-                    let mut span = p.child("point", i as u64);
-                    span.tag("cache", "coalesced");
-                }
+        for i in 0..points.len() {
+            let first = batch.first(i);
+            let cached = resolved[first];
+            if first == i && cached.is_none() {
+                work.push(i);
                 continue;
             }
-            match self.cache.get(key) {
-                Some(cached) => {
+            resolved[i] = cached;
+            let outcome = match cached {
+                Some(_) => {
                     hits += 1;
-                    if let Some(p) = per_point {
-                        let mut span = p.child("point", i as u64);
-                        span.tag("cache", "hit");
-                        span.tag("feasible", cached.is_ok());
-                    }
-                    resolved[i] = Some(cached);
+                    "hit"
                 }
                 None => {
-                    pending.insert(*key, i);
-                    work.push(i);
+                    coalesced += 1;
+                    "coalesced"
+                }
+            };
+            if let Some(p) = per_point {
+                let mut span = p.child("point", i as u64);
+                span.tag("cache", outcome);
+                if let Some(cached) = cached {
+                    span.tag("feasible", cached.is_ok());
                 }
             }
         }
@@ -241,7 +248,6 @@ impl Explorer {
             match result {
                 Ok(result) => {
                     feasible += usize::from(result.is_ok());
-                    self.cache.insert(keys[i], result);
                     resolved[i] = Some(result);
                 }
                 Err(caught) => {
@@ -252,6 +258,9 @@ impl Explorer {
                 }
             }
         }
+        // The batch now groups the misses; panicked ones are unresolved
+        // and stay out of the cache.
+        self.cache.insert_batch(&batch, &resolved);
         if let Some(fanout) = fanout.as_mut() {
             fanout.tag("evaluated", work.len() - panicked);
             fanout.tag("feasible", feasible);
@@ -264,14 +273,10 @@ impl Explorer {
         if let Some(first) = first_panic {
             return Err(first);
         }
-
-        // Duplicates of a pending key were left unresolved: serve them
-        // from their first occurrence's (now resolved) slot.
+        // Duplicates of a miss take their first occurrence's result.
         for i in 0..resolved.len() {
             if resolved[i].is_none() {
-                let first = pending[&keys[i]];
-                let value = resolved[first].expect("first occurrence evaluated");
-                resolved[i] = Some(value);
+                resolved[i] = resolved[batch.first(i)];
             }
         }
         Ok(resolved
@@ -306,8 +311,9 @@ impl Explorer {
     /// traced or not.
     pub fn try_run(&self, query: &Query, parent: Option<&Span>) -> Result<QueryAnswer, TaskPanic> {
         self.timed(|| {
-            run_rounds(query, parent, |grid, span| {
-                self.try_evaluate_points(grid, span)
+            run_rounds(query, parent, |grid, keys, span| {
+                self.evaluate_keyed(grid, keys, span)
+                    .map_err(|(_, caught)| caught)
             })
         })
     }
@@ -335,12 +341,12 @@ impl Default for Explorer {
 }
 
 /// Answers `query` over a partitioned engine: every round's points are
-/// split by [`shard_of`] over `shards.len()` engines, evaluated on all
-/// of them at once, and handed back in input order to the same round
-/// loop [`Explorer::try_run`] runs. Refinement, the cross-round `seen`
-/// set, the incumbent and the frontier are therefore computed exactly
-/// once, and the answer equals a single engine's whatever the shard
-/// count. Shard 0 evaluates on the calling thread and every other
+/// split by [`shard_of`](crate::shard_of) over `shards.len()` engines,
+/// evaluated on all of them at once, and handed back in input order to
+/// the same round loop [`Explorer::try_run`] runs. Refinement, the
+/// cross-round `seen` set, the incumbent and the frontier are therefore
+/// computed exactly once, and the answer equals a single engine's
+/// whatever the shard count. Shard 0 evaluates on the calling thread and every other
 /// shard on a scoped thread of its own, so the width of the deployment
 /// is the sum of the shards' executor widths. Each shard's cache only
 /// ever sees its own partition. Latency telemetry, when attached,
@@ -372,8 +378,8 @@ pub fn try_run_sharded(
         return first.try_run(query, parent);
     }
     first.timed(|| {
-        run_rounds(query, parent, |grid, span| {
-            evaluate_sharded(shards, grid, span)
+        run_rounds(query, parent, |grid, keys, span| {
+            evaluate_sharded(shards, grid, keys, span)
         })
     })
 }
@@ -384,22 +390,24 @@ pub fn try_run_sharded(
 fn evaluate_sharded(
     shards: &[Explorer],
     points: &[DesignQuery],
+    keys: &[CacheKey],
     parent: Option<&Span>,
 ) -> Result<Vec<EvalResult>, TaskPanic> {
     let count = shards.len() as u32;
     // Each shard's part of the round, as input indices.
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shards.len()];
-    for (i, point) in points.iter().enumerate() {
-        parts[shard_of(point, count) as usize].push(i);
+    for (i, key) in keys.iter().enumerate() {
+        parts[key.shard(count) as usize].push(i);
     }
     let evaluate = |shard: usize| {
         let part: Vec<DesignQuery> = parts[shard].iter().map(|&i| points[i]).collect();
+        let part_keys: Vec<CacheKey> = parts[shard].iter().map(|&i| keys[i]).collect();
         let span = parent.map(|p| {
             let mut span = p.child("explore.shard", shard as u64);
             span.tag("points", part.len());
             span
         });
-        shards[shard].evaluate_points_indexed(&part, span.as_ref())
+        shards[shard].evaluate_keyed(&part, &part_keys, span.as_ref())
     };
     let results = std::thread::scope(|scope| {
         let others: Vec<_> = (1..shards.len())
@@ -443,14 +451,19 @@ fn evaluate_sharded(
 
 /// The round loop behind every grid query: round 0 sweeps the grid,
 /// each refinement round re-centres on the incumbent, and `evaluate`
-/// answers each round's points in input order. Refinement rounds
+/// answers each round's points, given with their quantized keys, in
+/// input order. Refinement rounds
 /// revisit the incumbent's neighbourhood; each unique design enters
 /// the feasible pool (and so the frontier) once, however many rounds
 /// touch it.
 fn run_rounds(
     query: &Query,
     parent: Option<&Span>,
-    mut evaluate: impl FnMut(&[DesignQuery], Option<&Span>) -> Result<Vec<EvalResult>, TaskPanic>,
+    mut evaluate: impl FnMut(
+        &[DesignQuery],
+        &[CacheKey],
+        Option<&Span>,
+    ) -> Result<Vec<EvalResult>, TaskPanic>,
 ) -> Result<QueryAnswer, TaskPanic> {
     let mut feasible: Vec<DesignEval> = Vec::new();
     let mut evaluated = 0usize;
@@ -468,11 +481,16 @@ fn run_rounds(
             ranges = query.ranges.refined_around(&best.query, query.refine_steps);
         }
         let mut grid = ranges.grid();
+        let mut keys: Vec<CacheKey> = grid.iter().map(CacheKey::quantize).collect();
         if let Some(shard) = query.shard {
             // Keep only the requested partition. The filter runs
             // before `evaluated +=`, so per-shard counts sum exactly to
             // the unsharded grid size.
-            grid.retain(|point| shard_of(point, shard.count) == shard.index);
+            (grid, keys) = grid
+                .into_iter()
+                .zip(keys)
+                .filter(|(_, key)| key.shard(shard.count) == shard.index)
+                .unzip();
         }
         evaluated += grid.len();
         // Room for every point of the round, so it never rehashes.
@@ -483,9 +501,9 @@ fn run_rounds(
             span.tag("points", grid.len());
             span
         });
-        let results = evaluate(&grid, round_span.as_ref())?;
-        for (point, result) in grid.iter().zip(results) {
-            if !seen.insert(CacheKey::quantize(point)) {
+        let results = evaluate(&grid, &keys, round_span.as_ref())?;
+        for (key, result) in keys.iter().zip(results) {
+            if !seen.insert(*key) {
                 continue;
             }
             match result {
@@ -592,6 +610,7 @@ fn evaluate_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::shard_of;
     use crate::query::{Constraints, GridRange, Objective, QueryRanges};
     use drone_components::battery::CellCount;
     use drone_dse::eval::evaluate;
@@ -790,6 +809,84 @@ mod tests {
         assert_eq!(explorer.cache().miss_count(), 1);
         assert_eq!(explorer.cache().hit_count(), 3);
         assert_eq!(explorer.cache().len(), 1);
+    }
+
+    #[test]
+    fn grouped_cache_passes_answer_like_per_point_evaluation_at_every_width() {
+        use drone_telemetry::{derive_trace_id, Clock, TraceBuilder};
+        // 15 distinct points and a cache of 3 lock shards × 2 entries,
+        // so batches repeat points within themselves, meet points an
+        // earlier batch cached, and evict.
+        let pool = small_ranges().grid();
+        let batches: Vec<Vec<DesignQuery>> = (0..8)
+            .map(|b| (0..12).map(|i| pool[(b * 5 + i * i) % 7 + b]).collect())
+            .collect();
+        let run = |threads: usize| {
+            let explorer = Explorer {
+                cache: EvalCache::new(3, 2),
+                ..Explorer::new(threads)
+            };
+            let builder = TraceBuilder::with_detail(derive_trace_id(7, 5), Clock::sim(), false);
+            {
+                let root = builder.root("serve.request");
+                for (b, batch) in batches.iter().enumerate() {
+                    let span = root.child("batch", b as u64);
+                    let results = explorer.try_evaluate_points(batch, Some(&span)).unwrap();
+                    for (q, result) in batch.iter().zip(&results) {
+                        assert_eq!(*result, evaluate(q), "{threads} threads, batch {b}");
+                    }
+                }
+            }
+            let trace = builder.finish();
+            let cache = explorer.cache();
+            assert_eq!(
+                trace.sum_tag("hits") + trace.sum_tag("coalesced"),
+                cache.hit_count() as f64,
+                "{threads} threads"
+            );
+            assert_eq!(trace.sum_tag("misses"), cache.miss_count() as f64);
+            assert_eq!(trace.sum_tag("evaluated"), cache.miss_count() as f64);
+            let counts = (
+                cache.hit_count(),
+                cache.miss_count(),
+                cache.eviction_count(),
+                cache.len(),
+                trace.sum_tag("coalesced") as u64,
+            );
+            (counts, trace.deterministic_json().render())
+        };
+        // The reference: the per-point cache API, driven the way the
+        // engine once drove it. A repeat of a missed key coalesces (a
+        // hit); fresh results are inserted point by point in input order.
+        let reference = EvalCache::new(3, 2);
+        let mut coalesced = 0;
+        for batch in &batches {
+            let mut pending: Vec<(CacheKey, &DesignQuery)> = Vec::new();
+            for q in batch {
+                let key = CacheKey::quantize(q);
+                if pending.iter().any(|(k, _)| *k == key) {
+                    coalesced += 1;
+                } else if reference.get(&key).is_none() {
+                    pending.push((key, q));
+                }
+            }
+            for (key, q) in pending {
+                reference.insert(key, evaluate(q));
+            }
+        }
+        let expected = (
+            reference.hit_count() + coalesced,
+            reference.miss_count(),
+            reference.eviction_count(),
+            reference.len(),
+            coalesced,
+        );
+        assert!(reference.hit_count() > 0 && coalesced > 0 && expected.2 > 0);
+        let (counts, json) = run(1);
+        assert_eq!(counts, expected);
+        for threads in [2, 4] {
+            assert_eq!(run(threads), (expected, json.clone()), "{threads} threads");
+        }
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl Lattice {
 
     /// Snaps a unit-hypercube sample onto the lattice:
     /// `floor(u·steps)`, clamped to the last index.
-    pub fn from_unit(&self, unit: &[f64]) -> LatticePoint {
+    fn snap_unit(&self, unit: &[f64]) -> LatticePoint {
         let mut idx = [0usize; AXES];
         for (axis, slot) in idx.iter_mut().enumerate() {
             let steps = self.dims[axis];
@@ -182,18 +182,18 @@ pub fn sample(strategy: Strategy, lattice: &Lattice, seed: u64, n: usize) -> Vec
             (0..n)
                 .map(|_| {
                     let unit: Vec<f64> = (0..AXES).map(|_| rng.next_f64()).collect();
-                    lattice.from_unit(&unit)
+                    lattice.snap_unit(&unit)
                 })
                 .collect()
         }
         Strategy::LatinHypercube => latin_hypercube(seed, n, AXES)
             .iter()
-            .map(|unit| lattice.from_unit(unit))
+            .map(|unit| lattice.snap_unit(unit))
             .collect(),
         Strategy::Sobol | Strategy::Halving => {
             let mut seq = SobolSequence::new(AXES, seed);
             (0..n)
-                .map(|_| lattice.from_unit(&seq.next_point()))
+                .map(|_| lattice.snap_unit(&seq.next_point()))
                 .collect()
         }
     }
@@ -235,9 +235,9 @@ mod tests {
     #[test]
     fn unit_mapping_clamps_and_snaps() {
         let lattice = Lattice::new(&ranges());
-        let p = lattice.from_unit(&[0.999_999, 0.999_999, 0.0, 0.5, 1.0, 0.2]);
+        let p = lattice.snap_unit(&[0.999_999, 0.999_999, 0.0, 0.5, 1.0, 0.2]);
         assert_eq!(p.idx, [1, 12, 0, 0, 0, 0]);
-        let q = lattice.from_unit(&[0.0; AXES]);
+        let q = lattice.snap_unit(&[0.0; AXES]);
         assert_eq!(q.idx, [0; AXES]);
     }
 

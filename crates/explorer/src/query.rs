@@ -63,7 +63,7 @@ impl GridRange {
     }
 
     /// Spacing between adjacent samples (0 for a pinned coordinate).
-    pub fn step_size(&self) -> f64 {
+    fn step_size(&self) -> f64 {
         if self.steps <= 1 {
             0.0
         } else {
@@ -345,7 +345,7 @@ impl QueryRanges {
     }
 
     /// How many axes are actually swept (more than one sample).
-    pub fn swept_axes(&self) -> usize {
+    fn swept_axes(&self) -> usize {
         [
             self.wheelbase_mm.steps,
             self.capacity_mah.steps,

@@ -120,7 +120,8 @@ impl LineFramer {
 
     /// Total bytes the newline scan has examined (each byte exactly
     /// once — see the module docs).
-    pub fn bytes_scanned(&self) -> u64 {
+    #[cfg(test)]
+    fn bytes_scanned(&self) -> u64 {
         self.bytes_scanned
     }
 

@@ -41,7 +41,7 @@ impl Workload {
     /// The causal trace id this workload stamps on request `id` —
     /// [`derive_trace_id`] over the workload seed, so artifacts can
     /// re-derive it without parsing request lines.
-    pub fn trace_id_for(&self, id: u64) -> u64 {
+    fn trace_id_for(&self, id: u64) -> u64 {
         derive_trace_id(self.seed, id)
     }
 

@@ -41,11 +41,6 @@ impl Clock {
         }
     }
 
-    /// Whether this is a simulation clock.
-    pub fn is_sim(&self) -> bool {
-        matches!(*self.source, Source::Sim(_))
-    }
-
     /// Current time, seconds.
     pub fn now(&self) -> f64 {
         match &*self.source {
@@ -82,7 +77,6 @@ mod tests {
         let a = clock.now();
         let b = clock.now();
         assert!(b >= a);
-        assert!(!clock.is_sim());
     }
 
     #[test]
@@ -93,7 +87,6 @@ mod tests {
         assert_eq!(clock.now(), 1.5);
         clock.advance(0.25);
         assert_eq!(clock.now(), 1.75);
-        assert!(clock.is_sim());
     }
 
     #[test]

@@ -221,17 +221,6 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Summary + sparse buckets as JSON. Stable layout:
     /// `{count, sum, min, max, mean, p50, p90, p99, buckets: [[i, n]...]}`.
     pub fn to_json(&self) -> Json {
@@ -427,19 +416,6 @@ mod tests {
         // NaN is dropped.
         h.record(f64::NAN);
         assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn merge_combines_populations() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1.0);
-        b.record(100.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), Some(100.0));
-        assert_eq!(a.min(), Some(1.0));
-        assert_eq!(a.sum(), 101.0);
     }
 
     #[test]
